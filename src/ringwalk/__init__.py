@@ -9,7 +9,7 @@ eigenvalues as quadratic (or multiquadratic) irrationals, and
 perfect-state-transfer certificates with explicit times and phases.
 """
 
-from .errors import FormulaNotApplicable, SizeCapExceeded
+from .errors import FormulaNotApplicable, InconsistencyError, SizeCapExceeded
 from .graphs import (Graph, Permutation, automorphism_group, cayley_graph,
                      graph_json, is_isomorphic, quadratic_unitary_cayley_graph,
                      tensor_product, to_dot, unitary_cayley_graph)
@@ -35,7 +35,7 @@ from .walks import (PSTPair, PSTReport, RationalMatrix, SpectralLine,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormulaNotApplicable", "SizeCapExceeded",
+    "FormulaNotApplicable", "InconsistencyError", "SizeCapExceeded",
     "Graph", "Permutation", "automorphism_group", "cayley_graph", "graph_json",
     "is_isomorphic", "quadratic_unitary_cayley_graph", "tensor_product",
     "to_dot", "unitary_cayley_graph",

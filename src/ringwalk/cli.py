@@ -8,7 +8,8 @@ catalog comparing closed-form predictions against the walk engine.
 Every JSON surface is rendered with sorted keys and pre-sorted lists, so
 identical invocations are byte-identical.  Text output is a rendering of
 the same report dictionaries, never separately computed.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 size cap exceeded.
+0 success, 1 usage error, 2 verification failure or internal
+inconsistency, 3 size cap exceeded.
 The GROVER_RING_CAP environment variable overrides the default walk-size
 cap of 36 vertices.
 """
@@ -21,7 +22,7 @@ import os
 import sys
 
 from . import intpoly, verify as verify_mod, walks
-from .errors import SizeCapExceeded
+from .errors import InconsistencyError, SizeCapExceeded
 from .graphs import graph_json, quadratic_unitary_cayley_graph, to_dot, \
     unitary_cayley_graph
 from .rings import is_s_ring, make_ring, quadratic_connection, square_units, \
@@ -167,7 +168,7 @@ def _walk_report(spec: str, family: str, tau_max, period_bound) -> dict:
     components = g.connected_components()
     reports = []
     for comp in components:
-        sub = g.induced_subgraph(comp, vertex_transitive=True)
+        sub = g.induced_subgraph(comp)
         labels = [g.labels[v] for v in comp]
         reports.append(_component_report(sub, labels, tau_max, period_bound))
     return {
@@ -245,7 +246,7 @@ def _verify_report(max_order: int, family: str, tau_max: int) -> dict:
             f"max order {max_order} exceeds the cap {cap} "
             "(set GROVER_RING_CAP to override)")
     internal = "unitary" if family == "unitary" else "quadratic"
-    records = verify_mod.sweep(max_order, internal, tau_max=tau_max)
+    records = verify_mod.sweep(max_order, internal, tau_max=tau_max, cap=cap)
     payload = [_record_json(r) for r in records]
     failed = sorted(r["ring"] for r in payload if r["status"] == "fail")
     return {
@@ -373,6 +374,9 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"ringwalk: size cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except InconsistencyError as exc:
+        print(f"ringwalk: internal inconsistency: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"ringwalk: error: {exc}", file=sys.stderr)
         return 1

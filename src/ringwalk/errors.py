@@ -7,3 +7,12 @@ class SizeCapExceeded(Exception):
 
 class FormulaNotApplicable(Exception):
     """A closed-form prediction was requested outside its hypotheses."""
+
+
+class InconsistencyError(Exception):
+    """An internal cross-check failed.
+
+    Raised when two independent routes disagree on a verdict, or when a
+    graph's carried translation action is not an automorphism group.  Either
+    is a bug in ringwalk, never a property of the input.
+    """

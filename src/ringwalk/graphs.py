@@ -5,6 +5,12 @@ adjacency diagonal and 1 to the degree; the looped complete graph is what
 tensor identities over odd local rings need).  Vertices are 0..n-1 with
 optional hashable labels (ring elements, pairs, ...).
 
+A graph may carry a translation action: vertex permutations, recorded by
+the builders that know them (Cayley graphs, cycles, complete graphs,
+tensor products, induced subgraphs), that generate a group of
+automorphisms.  The action is verified the first time it is used, and
+`vertex_transitive` is derived from it, never claimed by a caller.
+
 Isomorphism and automorphism enumeration are exact: joint colour
 refinement for pruning, then backtracking with full adjacency checks on
 the result.  No canonical-labelling dependency; sizes are capped.
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeCapExceeded
+from .errors import InconsistencyError, SizeCapExceeded
 from .rings import ConnectionSet, ProductRing, quadratic_connection, units
 
 ISO_CAP = 64
@@ -22,17 +28,21 @@ AUT_CAP = 16
 
 __all__ = [
     "Graph", "Permutation", "cayley_graph", "unitary_cayley_graph",
-    "quadratic_unitary_cayley_graph", "tensor_product", "all_ones",
+    "quadratic_unitary_cayley_graph", "tensor_product",
     "is_isomorphic", "automorphism_group", "to_dot", "graph_json",
     "ISO_CAP", "AUT_CAP",
 ]
 
 
 class Graph:
-    """An undirected graph on 0..n-1, loops allowed when stated."""
+    """An undirected graph on 0..n-1, loops allowed when stated.
+
+    `translations` are vertex permutations (tuples t with t[v] the image of
+    v) that the builder knows to be automorphisms; they are checked lazily.
+    """
 
     def __init__(self, n: int, edges, labels=None, allow_loops: bool = False,
-                 vertex_transitive: bool | None = None, name: str = ""):
+                 name: str = "", translations=()):
         self.n = n
         seen = set()
         for u, v in edges:
@@ -46,8 +56,9 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
             raise ValueError("label count must match vertex count")
-        self.vertex_transitive = vertex_transitive
         self.name = name
+        self.translations = tuple(tuple(t) for t in translations)
+        self._transitive = None
         nbrs = [set() for _ in range(n)]
         for u, v in self.edges:
             nbrs[u].add(v)
@@ -61,21 +72,21 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)],
-                   vertex_transitive=True, name=f"K{n}")
+                   name=f"K{n}", translations=_rotation(n))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
         return cls(n, [(i, (i + 1) % n) for i in range(n)],
-                   vertex_transitive=True, name=f"C{n}")
+                   name=f"C{n}", translations=_rotation(n))
 
     @classmethod
     def complete_pseudograph(cls, n: int) -> "Graph":
         """K_n plus a loop at every vertex (n-regular, all-ones adjacency)."""
         edges = [(u, v) for u in range(n) for v in range(u, n)]
-        return cls(n, edges, allow_loops=True, vertex_transitive=True,
-                   name=f"K°{n}")
+        return cls(n, edges, allow_loops=True, name=f"K°{n}",
+                   translations=_rotation(n))
 
     @classmethod
     def from_adjacency(cls, mat, labels=None, **kw) -> "Graph":
@@ -115,6 +126,38 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._nbr_sets[u]
 
+    @property
+    def vertex_transitive(self) -> bool:
+        """True iff the carried translations generate a transitive group.
+
+        Checked once, on first use: each translation must be an
+        automorphism (O(|E|) each, raising InconsistencyError if not), and
+        a search from vertex 0 along the translations must reach every
+        vertex.  False means "not known": a graph without a carried action
+        may still be vertex-transitive.
+        """
+        if self._transitive is None:
+            self._transitive = self._verify_translations()
+        return self._transitive
+
+    def _verify_translations(self) -> bool:
+        for i, t in enumerate(self.translations):
+            if sorted(t) != list(range(self.n)) or not all(
+                    self.adjacent(t[u], t[v]) for u, v in self.edges):
+                raise InconsistencyError(
+                    f"carried translation {i} of {self!r} is not an automorphism")
+        if not self.translations:
+            return False
+        seen = {0}
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for t in self.translations:
+                if t[u] not in seen:
+                    seen.add(t[u])
+                    stack.append(t[u])
+        return len(seen) == self.n
+
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1 if self.n else True
 
@@ -136,35 +179,64 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def induced_subgraph(self, vertices, vertex_transitive=None) -> "Graph":
+    def induced_subgraph(self, vertices) -> "Graph":
+        """The subgraph on `vertices`, relabelled 0..m-1 in sorted order.
+
+        Each translation that maps the vertex set onto itself restricts to
+        it; the others are dropped.  On a Cayley graph Cay(R, S) every
+        translation by an element of S fixes each coset of <S>, so a
+        connected component keeps the whole generating set.
+        """
         vs = sorted(vertices)
         pos = {v: i for i, v in enumerate(vs)}
         edges = [(pos[u], pos[v]) for u, v in self.edges
                  if u in pos and v in pos]
+        translations = [tuple(pos[t[v]] for v in vs) for t in self.translations
+                        if all(t[v] in pos for v in vs)]
         return Graph(len(vs), edges, labels=[self.labels[v] for v in vs],
-                     allow_loops=self.allow_loops,
-                     vertex_transitive=vertex_transitive)
+                     allow_loops=self.allow_loops, translations=translations)
 
     def __repr__(self):
         tag = self.name or f"{self.n} vertices"
         return f"Graph({tag}, {len(self.edges)} edges)"
 
 
+def _rotation(n: int) -> tuple:
+    """The single translation v -> v+1 (mod n), as a generating set."""
+    return (tuple((v + 1) % n for v in range(n)),)
+
+
 # -- ring graphs -----------------------------------------------------------
 
 def cayley_graph(ring: ProductRing, connection: ConnectionSet) -> Graph:
-    """The Cayley graph of (R, +) with respect to a connection set."""
+    """The Cayley graph of (R, +) with respect to a connection set.
+
+    The graph carries the translations x -> x + s for a greedy subset of
+    the connection set that generates the same subgroup <S>: an element is
+    kept only when it lies outside the subgroup generated so far, which
+    at least doubles that subgroup, so at most log2 |R| are kept.
+    """
     if connection.ring != ring:
         raise ValueError("connection set belongs to a different ring")
     elts = ring.elements()
     index = {e.comps: i for i, e in enumerate(elts)}
+    zero = index[ring.zero().comps]
     edges = []
-    for i, e in enumerate(elts):
-        for c in connection:
-            j = index[(e + c).comps]
-            if i < j:
-                edges.append((i, j))
-    return Graph(ring.order, edges, labels=elts, vertex_transitive=True,
+    translations = []
+    subgroup = {zero}
+    for c in connection:
+        shift = [index[(e + c).comps] for e in elts]
+        edges.extend((i, j) for i, j in enumerate(shift) if i < j)
+        if shift[zero] not in subgroup:
+            translations.append(shift)
+            # add the cosets subgroup + m*c until they come back round
+            coset = list(subgroup)
+            while True:
+                coset = [shift[v] for v in coset]
+                if coset[0] in subgroup:
+                    break
+                subgroup.update(coset)
+    return Graph(ring.order, edges, labels=elts, translations=translations,
                  name=f"Cay({ring.token}; {connection.label})")
 
 
@@ -179,17 +251,20 @@ def quadratic_unitary_cayley_graph(ring: ProductRing) -> Graph:
 
 
 def tensor_product(g: Graph, h: Graph) -> Graph:
-    """Tensor (categorical) product; vertex (u, v) at index u*h.n + v."""
+    """Tensor (categorical) product; vertex (u, v) at index u*h.n + v.
+
+    Carries (s, id) and (id, t) for the factors' translations s and t.
+    """
     a = np.kron(g.adjacency_matrix(), h.adjacency_matrix())
     labels = [(gu, hv) for gu in g.labels for hv in h.labels]
-    vt = True if (g.vertex_transitive and h.vertex_transitive) else None
-    return Graph.from_adjacency(a, labels=labels, vertex_transitive=vt,
+    m = h.n
+    translations = [
+        tuple(s[u] * m + v for u in range(g.n) for v in range(m))
+        for s in g.translations] + [
+        tuple(u * m + t[v] for u in range(g.n) for v in range(m))
+        for t in h.translations]
+    return Graph.from_adjacency(a, labels=labels, translations=translations,
                                 name=f"{g.name or 'G'} (x) {h.name or 'H'}")
-
-
-def all_ones(n: int) -> np.ndarray:
-    """The n x n all-ones matrix J (adjacency of the looped complete graph)."""
-    return np.ones((n, n), dtype=np.int64)
 
 
 # -- isomorphism -----------------------------------------------------------

@@ -87,21 +87,6 @@ class Surd:
             raise ValueError(f"{self} is irrational")
         return self._terms.get(_RAT, Fraction(0))
 
-    @property
-    def degree_bound(self) -> int:
-        """2**(number of independent radicals touched); 1 for rationals."""
-        primes = set()
-        for k in self._terms:
-            primes |= k
-        return 2 ** len(primes)
-
-    def discriminant(self) -> int | None:
-        """For a value a + b*sqrt(d) (b != 0), the squarefree d; else None."""
-        rads = [k for k in self._terms if k != _RAT]
-        if len(rads) != 1:
-            return None
-        return _prod(sorted(rads[0]))
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod

@@ -320,7 +320,7 @@ class VerificationRecord:
 def _component_of_zero(graph: Graph) -> Graph:
     comps = graph.connected_components()
     comp = next(c for c in comps if 0 in c)
-    return graph.induced_subgraph(comp, vertex_transitive=True)
+    return graph.induced_subgraph(comp)
 
 
 def verify_ring(ring: ProductRing, family: str = "unitary",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import intpoly
-from .errors import SizeCapExceeded
+from .errors import InconsistencyError, SizeCapExceeded
 from .graphs import Graph
 from .intpoly import two_cos_minimal_poly
 from .scalars import Surd, exact_str, sort_key
@@ -116,6 +116,21 @@ class _ArcSpace:
                 for i, o in enumerate(self.origin)]
 
 
+def _power_columns(ar: _ArcSpace, columns, tau: int):
+    """Yield (scale * U)^tau x for each column, one at a time.
+
+    Each column is a collection of arc indices and stands for the sum of
+    their unit vectors.
+    """
+    for arcs in columns:
+        x = [0] * ar.size
+        for a in arcs:
+            x[a] = 1
+        for _ in range(tau):
+            x = ar.apply_scaled(x)
+        yield x
+
+
 def _arcspace(g: Graph) -> _ArcSpace:
     cache = getattr(g, "_arcspace", None)
     if cache is None:
@@ -144,13 +159,8 @@ def evolution_power(g: Graph, tau: int) -> RationalMatrix:
     """U^tau, exactly, via the integer-scaled column recurrence."""
     ar = _arcspace(g)
     denom = ar.scale ** tau
-    cols = []
-    for j in range(ar.size):
-        x = [0] * ar.size
-        x[j] = 1
-        for _ in range(tau):
-            x = ar.apply_scaled(x)
-        cols.append([Fraction(v, denom) for v in x])
+    cols = [[Fraction(v, denom) for v in x]
+            for x in _power_columns(ar, ((j,) for j in range(ar.size)), tau)]
     return RationalMatrix(tuple(zip(*cols)), ar.arcs)
 
 
@@ -193,18 +203,10 @@ def vertex_transfer_matrix(g: Graph, tau: int) -> RationalMatrix:
     ar = _arcspace(g)
     k = g.regularity
     denom = k * ar.scale ** tau
-    cols = []
-    for v in range(g.n):
-        # X e-block: sum of scaled-U^tau columns over arcs with head v
-        x = [0] * ar.size
-        for b in ar.heads_at[v]:
-            x[b] = 1
-        for _ in range(tau):
-            x = ar.apply_scaled(x)
-        col = []
-        for u in range(g.n):
-            col.append(Fraction(sum(x[a] for a in ar.heads_at[u]), denom))
-        cols.append(col)
+    # column v: the scaled U^tau columns summed over the arcs with head v
+    cols = [[Fraction(sum(x[a] for a in ar.heads_at[u]), denom)
+             for u in range(g.n)]
+            for x in _power_columns(ar, ar.heads_at, tau)]
     return RationalMatrix(tuple(zip(*cols)), tuple(range(g.n)))
 
 
@@ -215,7 +217,15 @@ def bruteforce_period(g: Graph, tau_max: int):
 
     Walks a single probe vector through the scaled evolution; a mismatch at
     tau certifies U^tau != I, and probe coincidences are confirmed
-    column-by-column before being reported.
+    column-by-column, exactly, before being reported.
+
+    Confirmation uses the graph's symmetry, never its spectrum, so this
+    route stays independent of the classifier.  An automorphism of the
+    graph permutes arcs and commutes with U, so if U^tau fixes e_a it fixes
+    the image of e_a too.  When the graph's verified translations act
+    transitively, every arc is the image of an arc leaving vertex 0, and
+    those k columns suffice.  Graphs without a verified transitive action
+    are confirmed on all 2|E| columns.
     """
     if tau_max > TAU_CAP:
         raise SizeCapExceeded(f"tau_max {tau_max} exceeds cap {TAU_CAP}")
@@ -227,18 +237,22 @@ def bruteforce_period(g: Graph, tau_max: int):
         x = ar.apply_scaled(x)
         factor *= ar.scale
         if all(a == factor * b for a, b in zip(x, probe)):
-            if _power_is_identity(ar, tau):
+            if _power_is_identity(ar, tau, _confirmation_arcs(ar)):
                 return tau
     return None
 
 
-def _power_is_identity(ar: _ArcSpace, tau: int) -> bool:
+def _confirmation_arcs(ar: _ArcSpace) -> list:
+    """Arcs whose columns certify U^tau = I (see bruteforce_period)."""
+    if ar.graph.vertex_transitive:
+        return [a for a, o in enumerate(ar.origin) if o == 0]
+    return list(range(ar.size))
+
+
+def _power_is_identity(ar: _ArcSpace, tau: int, arcs) -> bool:
+    """Does U^tau fix the unit column of every arc in `arcs`?"""
     target = ar.scale ** tau
-    for j in range(ar.size):
-        x = [0] * ar.size
-        x[j] = 1
-        for _ in range(tau):
-            x = ar.apply_scaled(x)
+    for j, x in zip(arcs, _power_columns(ar, ((j,) for j in arcs), tau)):
         for i, v in enumerate(x):
             if v != (target if i == j else 0):
                 return False
@@ -448,7 +462,9 @@ def period(g: Graph, bound_cap: int | None = None):
     """The exact least period of U, or None if the walk is not periodic.
 
     The classifier supplies the divisor bound (lcm of the root-of-unity
-    orders), then the least tau is confirmed by exact powering.
+    orders), then the least tau is confirmed by exact powering.  The two
+    routes are independent; if brute force finds no period dividing the
+    bound, InconsistencyError is raised (a check that survives python -O).
     """
     report = classify_spectrum(g)
     if not report.periodic:
@@ -457,7 +473,9 @@ def period(g: Graph, bound_cap: int | None = None):
     if bound_cap is not None and bound > bound_cap:
         raise SizeCapExceeded(f"period bound {bound} exceeds cap {bound_cap}")
     tau = bruteforce_period(g, bound)
-    assert tau is not None and bound % tau == 0, (tau, bound)
+    if tau is None or bound % tau:
+        raise InconsistencyError(
+            f"classifier bounds the period by {bound}, brute force found {tau}")
     return tau
 
 

@@ -128,6 +128,21 @@ def test_bad_cap_env_exits_three(capsys, monkeypatch):
     assert code == 3
 
 
+def test_verify_honours_raised_cap(capsys, monkeypatch):
+    monkeypatch.setenv("GROVER_RING_CAP", "40")
+    code, out = _run(capsys, "verify", "--max-order", "37")
+    assert code == 0
+    assert json.loads(out)["records"][-1]["ring"] == "Z37"
+
+
+def test_route_disagreement_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli.walks, "bruteforce_period", lambda g, tau_max: None)
+    code = cli.main(["walk", "Z12"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "internal inconsistency" in captured.err
+
+
 def test_verify_json_small_sweep(capsys):
     code, out = _run(capsys, "verify", "--max-order", "6")
     assert code == 0

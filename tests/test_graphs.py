@@ -35,6 +35,8 @@ def test_basic_invariants():
     assert g.n == 5
     assert g.is_regular and g.regularity == 2
     assert g.is_connected()
+    assert g.vertex_transitive
+    assert Graph.complete(4).vertex_transitive
     assert g.adjacent(0, 1) and not g.adjacent(0, 2)
     assert len(g.edges) == 5
 
@@ -46,6 +48,7 @@ def test_loop_handling():
     assert all(g.has_loop(v) for v in range(3))
     assert g.regularity == 3
     assert g.degree(0) == 3
+    assert g.vertex_transitive
 
 
 def test_unitary_cayley_graphs_small():
@@ -82,6 +85,35 @@ def test_disconnected_unitary_graph():
     assert not g.is_connected()
     comps = g.connected_components()
     assert sorted(len(c) for c in comps) == [2, 2]
+    # <S> has index 2: the carried translations are not transitive on the
+    # whole graph, but each restricts to a transitive action on a component.
+    assert not g.vertex_transitive
+    assert all(g.induced_subgraph(c).vertex_transitive for c in comps)
+
+
+def test_cayley_translations_are_few_and_transitive():
+    for spec in ("Z64", "GF(32)", "Z2 x Z2 x Z2 x Z3", "Z5 x Z25"):
+        ring = make_ring(spec)
+        for g in (unitary_cayley_graph(ring), quadratic_unitary_cayley_graph(ring)):
+            assert 1 <= len(g.translations) <= ring.order.bit_length() - 1
+            assert g.vertex_transitive == g.is_connected()
+
+
+def test_induced_subgraph_keeps_translations_that_preserve_it():
+    c6 = Graph.cycle(6)
+    assert c6.induced_subgraph(range(6)).translations == c6.translations
+    path = c6.induced_subgraph(range(3))
+    assert path.translations == () and not path.vertex_transitive
+
+
+def test_carried_translation_must_be_an_automorphism():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)], translations=[(1, 2, 3, 0)])
+    with pytest.raises(errors.InconsistencyError):
+        path.vertex_transitive
+    not_a_permutation = Graph(3, [(0, 1), (1, 2), (0, 2)],
+                              translations=[(1, 1, 2)])
+    with pytest.raises(errors.InconsistencyError):
+        not_a_permutation.vertex_transitive
 
 
 def test_vertex_labels_are_ring_elements():
@@ -98,6 +130,7 @@ def test_tensor_product_structure():
     k3 = Graph.complete(3)
     t = tensor_product(k3, k2)
     assert is_isomorphic(t, Graph.cycle(6)) is not None
+    assert c4.vertex_transitive and t.vertex_transitive
 
 
 def test_tensor_product_with_looped_factor():
@@ -106,6 +139,7 @@ def test_tensor_product_with_looped_factor():
     t = tensor_product(c5, loops)
     assert t.n == 15
     assert t.regularity == 6
+    assert t.vertex_transitive
     nxt = nx.tensor_product(_to_networkx(c5), nx.complete_graph(3))
     # Loopless part only matches when the looped factor keeps its loops,
     # so compare against the direct definition instead.

@@ -1,6 +1,10 @@
 """Exact Grover walk simulation, periodicity, and transfer search."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringwalk import errors, walks
 from ringwalk.graphs import Graph, quadratic_unitary_cayley_graph, unitary_cayley_graph
-from ringwalk.rings import make_ring
+from ringwalk.rings import enumerate_rings, make_ring
 from ringwalk.scalars import Surd
 
 
@@ -81,6 +85,63 @@ def test_period_of_unitary_graph_z12():
 def test_period_of_quadratic_graph_z9():
     g = quadratic_unitary_cayley_graph(make_ring("Z9"))
     assert walks.period(g) == 12
+
+
+def test_reduced_confirmation_matches_all_columns():
+    """Arcs leaving vertex 0 decide U^tau = I exactly as all arcs do."""
+    checked = 0
+    for ring in enumerate_rings(16):
+        for family in (unitary_cayley_graph, quadratic_unitary_cayley_graph):
+            g = family(ring)
+            for comp in g.connected_components():
+                sub = g.induced_subgraph(comp)
+                assert sub.vertex_transitive, (ring.token, family.__name__)
+                ar = walks._arcspace(sub)
+                reduced = walks._confirmation_arcs(ar)
+                assert len(reduced) == sub.regularity
+                horizon = walks.classify_spectrum(sub).period_bound or 12
+                for tau in range(1, horizon + 1):
+                    full = walks._power_is_identity(ar, tau, range(ar.size))
+                    assert walks._power_is_identity(ar, tau, reduced) == full, (
+                        ring.token, family.__name__, comp, tau)
+                    checked += full
+    assert checked > 0
+
+
+def test_graph_without_action_confirms_on_all_columns():
+    cayley = unitary_cayley_graph(make_ring("Z8"))
+    bare = Graph.from_adjacency(cayley.adjacency_matrix())
+    assert bare.translations == () and not bare.vertex_transitive
+    ar = walks._arcspace(bare)
+    assert walks._confirmation_arcs(ar) == list(range(ar.size))
+    assert walks.period(bare) == walks.period(cayley) == 4
+
+
+def test_period_raises_when_routes_disagree(monkeypatch):
+    monkeypatch.setattr(walks, "bruteforce_period", lambda g, tau_max: None)
+    with pytest.raises(errors.InconsistencyError):
+        walks.period(Graph.cycle(4))
+    monkeypatch.setattr(walks, "bruteforce_period", lambda g, tau_max: 3)
+    with pytest.raises(errors.InconsistencyError):
+        walks.period(Graph.cycle(4))
+
+
+def test_route_disagreement_survives_optimize_flag():
+    code = (
+        "from ringwalk import errors, walks\n"
+        "from ringwalk.graphs import Graph\n"
+        "walks.bruteforce_period = lambda g, tau_max: None\n"
+        "try:\n"
+        "    walks.period(Graph.cycle(4))\n"
+        "except errors.InconsistencyError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    src = str(Path(walks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                              timeout=60)
+        assert done.returncode == 0, flags
 
 
 def test_nonperiodic_graphs():
