@@ -18,8 +18,6 @@ the result.  No canonical-labelling dependency; sizes are capped.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InconsistencyError, SizeCapExceeded
 from .rings import ConnectionSet, ProductRing, quadratic_connection, units
 
@@ -39,6 +37,8 @@ class Graph:
 
     `translations` are vertex permutations (tuples t with t[v] the image of
     v) that the builder knows to be automorphisms; they are checked lazily.
+    `walk_analysis` belongs to ringwalk.walks, which fills it on first use
+    with what its routes have computed for this graph.
     """
 
     def __init__(self, n: int, edges, labels=None, allow_loops: bool = False,
@@ -66,6 +66,7 @@ class Graph:
         self.neighbors = tuple(tuple(sorted(s)) for s in nbrs)
         self._nbr_sets = tuple(frozenset(s) for s in nbrs)
         self.degrees = tuple(len(s) for s in self.neighbors)
+        self.walk_analysis = None
 
     # -- builders ----------------------------------------------------------
 
@@ -90,11 +91,12 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, mat, labels=None, **kw) -> "Graph":
-        mat = np.asarray(mat)
-        n = mat.shape[0]
-        if mat.shape != (n, n) or (mat != mat.T).any():
+        mat = [list(row) for row in mat]
+        n = len(mat)
+        if any(len(row) != n for row in mat) or any(
+                mat[u][v] != mat[v][u] for u in range(n) for v in range(u)):
             raise ValueError("adjacency must be square symmetric")
-        if not np.isin(mat, (0, 1)).all():
+        if any(x not in (0, 1) for row in mat for x in row):
             raise ValueError("adjacency entries must be 0/1")
         edges = [(u, v) for u in range(n) for v in range(u, n) if mat[u][v]]
         loops = any(mat[u][u] for u in range(n))
@@ -102,8 +104,8 @@ class Graph:
 
     # -- structure ---------------------------------------------------------
 
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
+    def adjacency_matrix(self) -> list[list[int]]:
+        a = [[0] * self.n for _ in range(self.n)]
         for u, v in self.edges:
             a[u][v] = 1
             a[v][u] = 1
@@ -255,16 +257,19 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
 
     Carries (s, id) and (id, t) for the factors' translations s and t.
     """
-    a = np.kron(g.adjacency_matrix(), h.adjacency_matrix())
-    labels = [(gu, hv) for gu in g.labels for hv in h.labels]
     m = h.n
+    edges = [(u * m + v, x * m + y) for u in range(g.n) for x in g.neighbors[u]
+             for v in range(m) for y in h.neighbors[v]]
+    labels = [(gu, hv) for gu in g.labels for hv in h.labels]
     translations = [
         tuple(s[u] * m + v for u in range(g.n) for v in range(m))
         for s in g.translations] + [
         tuple(u * m + t[v] for u in range(g.n) for v in range(m))
         for t in h.translations]
-    return Graph.from_adjacency(a, labels=labels, translations=translations,
-                                name=f"{g.name or 'G'} (x) {h.name or 'H'}")
+    return Graph(g.n * m, edges, labels=labels,
+                 allow_loops=any(u == w for u, w in edges),
+                 translations=translations,
+                 name=f"{g.name or 'G'} (x) {h.name or 'H'}")
 
 
 # -- isomorphism -----------------------------------------------------------
@@ -296,10 +301,10 @@ class Permutation:
         return Permutation(self.mapping[other.mapping[v]]
                            for v in range(len(self.mapping)))
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> list[list[int]]:
         """M with M e_v = e_{mapping[v]}."""
         n = len(self.mapping)
-        m = np.zeros((n, n), dtype=np.int64)
+        m = [[0] * n for _ in range(n)]
         for v, w in enumerate(self.mapping):
             m[w][v] = 1
         return m

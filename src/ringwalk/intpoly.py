@@ -10,7 +10,7 @@ so no floating point and no rational blow-up.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import isqrt
 
 IntPoly = tuple  # tuple of ints, constant first
 
@@ -276,9 +276,18 @@ def charpoly(mat) -> IntPoly:
     rows = [[int(x) for x in row] for row in mat]
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    radius = max(sum(abs(x) for x in row) for row in rows)
-    # |c_i| <= C(n, i) * radius^(n-i) <= (1+radius)^n  (Gershgorin + Vieta)
-    bound = 2 * (1 + radius) ** n
+    # Coefficient bound from the Frobenius norm F = ||M||_F:
+    #  - Schur: sum |lambda_i|^2 <= F^2, so by the power mean inequality
+    #    the mean |lambda_i| is at most F/sqrt(n);
+    #  - Maclaurin on the |lambda_i|: |c_(n-m)| <= C(n, m) (F/sqrt(n))^m;
+    #  - summing over m: |c_i| <= (1 + F/sqrt(n))^n <= (1 + r)^n with
+    #    r = ceil(sqrt(ceil(F^2/n))), never more than the largest row sum.
+    # The factor 2 leaves room for the sign in the symmetric lift.
+    mean_sq = -(-sum(x * x for row in rows for x in row) // n)
+    r = isqrt(mean_sq)
+    if r * r < mean_sq:
+        r += 1
+    bound = 2 * (1 + r) ** n
     primes = _primes_with_product_above(bound)
     residues = [_charpoly_mod(rows, p) for p in primes]
     # CRT fold, then lift to the symmetric range

@@ -27,8 +27,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import intpoly, walks
-from .errors import FormulaNotApplicable
+from . import walks
+from .errors import FormulaNotApplicable, InconsistencyError
 from .graphs import (Graph, Permutation, is_isomorphic, tensor_product,
                      quadratic_unitary_cayley_graph, unitary_cayley_graph)
 from .rings import ProductRing, enumerate_rings, is_s_ring, make_ring
@@ -60,7 +60,11 @@ class PredictedSpectrum:
     formula: str
 
     def charpoly(self):
-        """Expand prod (x - value)^mult; coefficients must come out integral."""
+        """Expand prod (x - value)^mult; coefficients must come out integral.
+
+        Anything else means the formula produced an impossible spectrum, and
+        raises InconsistencyError.
+        """
         poly = [Surd(1)]
         for value, mult in self.pairs:
             root = value if isinstance(value, Surd) else Surd(value)
@@ -72,11 +76,14 @@ class PredictedSpectrum:
                 poly = nxt
         out = []
         for c in poly:
-            assert c.is_rational, c
-            f = c.as_fraction()
-            assert f.denominator == 1, f
+            f = c.as_fraction() if c.is_rational else None
+            if f is None or f.denominator != 1:
+                raise InconsistencyError(
+                    f"{self.formula} charpoly has the non-integer coefficient {c}")
             out.append(int(f))
-        assert len(out) == self.n + 1
+        if len(out) != self.n + 1:
+            raise InconsistencyError(
+                f"{self.formula} charpoly has degree {len(out) - 1}, not {self.n}")
         return tuple(out)
 
 
@@ -87,7 +94,10 @@ def _merge(values, regularity, n, formula):
             key = _canon(value)
             acc[key] = acc.get(key, 0) + mult
     pairs = tuple(sorted(acc.items(), key=lambda p: sort_key(p[0])))
-    assert sum(m for _, m in pairs) == n
+    total = sum(m for _, m in pairs)
+    if total != n:
+        raise InconsistencyError(
+            f"{formula} multiplicities sum to {total}, not {n}")
     return PredictedSpectrum(pairs, regularity, n, formula)
 
 
@@ -349,6 +359,7 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
         failures.append("graph is not regular")
         k = -1
 
+    report = walks.classify_spectrum(graph)
     formula = None
     spectrum_verified = None
     try:
@@ -359,14 +370,12 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
             spectrum_verified = False
             failures.append(
                 f"predicted regularity {spec.regularity} != computed {k}")
-        computed = intpoly.charpoly(graph.adjacency_matrix().tolist())
-        if spec.charpoly() != computed:
+        if spec.charpoly() != report.charpoly:
             spectrum_verified = False
             failures.append("predicted spectrum != computed spectrum")
     except FormulaNotApplicable:
         pass
 
-    report = walks.classify_spectrum(graph)
     classifier_periodic = report.periodic
     if predicted_periodic is not None and predicted_periodic != classifier_periodic:
         failures.append(

@@ -17,6 +17,15 @@ perfect-state-transfer search run on that scaled form.  The spectral
 classifier factors the characteristic polynomial of A over the integers
 and recognises every eigenvalue mu = lambda/k that is twice-a-cosine of a
 rational angle: those are the only spectra a periodic walk can have.
+
+Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
+filled lazily, holds the arc space, the classifier's `SpectralReport`
+(which carries the characteristic polynomial) and the brute-force memo:
+the horizon searched and the least period found within it.  A cached
+value is only ever read back by the route that wrote it: the classifier
+never sees the brute-force memo and brute force never sees the spectrum.
+So reusing them keeps the two periodicity routes as independent as
+recomputing would, and `period()` still compares them on every call.
 """
 
 from __future__ import annotations
@@ -131,12 +140,31 @@ def _power_columns(ar: _ArcSpace, columns, tau: int):
         yield x
 
 
+@dataclasses.dataclass
+class WalkAnalysis:
+    """What the walk routes have computed for one graph, filled lazily.
+
+    It hangs off `Graph.walk_analysis` and dies with the graph.  Each field
+    has one writer and is read back only by it: `spectrum` by
+    classify_spectrum, `searched` by bruteforce_period.
+    """
+
+    arcspace: _ArcSpace | None = None
+    spectrum: SpectralReport | None = None
+    searched: tuple | None = None  # (horizon T, least tau <= T or None)
+
+
+def _analysis(g: Graph) -> WalkAnalysis:
+    if g.walk_analysis is None:
+        g.walk_analysis = WalkAnalysis()
+    return g.walk_analysis
+
+
 def _arcspace(g: Graph) -> _ArcSpace:
-    cache = getattr(g, "_arcspace", None)
-    if cache is None:
-        cache = _ArcSpace(g)
-        g._arcspace = cache
-    return cache
+    analysis = _analysis(g)
+    if analysis.arcspace is None:
+        analysis.arcspace = _ArcSpace(g)
+    return analysis.arcspace
 
 
 def time_evolution(g: Graph) -> RationalMatrix:
@@ -226,10 +254,28 @@ def bruteforce_period(g: Graph, tau_max: int):
     transitively, every arc is the image of an arc leaving vertex 0, and
     those k columns suffice.  Graphs without a verified transitive action
     are confirmed on all 2|E| columns.
+
+    The outcome is memoised on the graph as (horizon searched, least tau or
+    None).  A later query is answered from it when it can be: a tau found
+    answers every horizon, and "none up to T" answers every horizon <= T.
+    Any other query searches again.
     """
     if tau_max > TAU_CAP:
         raise SizeCapExceeded(f"tau_max {tau_max} exceeds cap {TAU_CAP}")
-    ar = _arcspace(g)
+    analysis = _analysis(g)
+    if analysis.searched is not None:
+        horizon, tau = analysis.searched
+        if tau is not None:
+            return tau if tau <= tau_max else None
+        if horizon >= tau_max:
+            return None
+    tau = _search_period(_arcspace(g), tau_max)
+    analysis.searched = (tau_max, tau)
+    return tau
+
+
+def _search_period(ar: _ArcSpace, tau_max: int):
+    """The probe search behind bruteforce_period, without the memo."""
     probe = list(range(1, ar.size + 1))
     x = probe[:]
     factor = 1
@@ -370,8 +416,15 @@ def classify_spectrum(g: Graph) -> SpectralReport:
     {0, +-1, +-1/2}, quadratic values among +-sqrt(3)/2, +-sqrt(2)/2,
     (+-1+-sqrt(5))/4, higher-degree Galois orbits of 2cos(2 pi j/n)), and
     the classifier extracts exactly those factors, leaving anything else in
-    `unfactored`.
+    `unfactored`.  Computed once per graph.
     """
+    analysis = _analysis(g)
+    if analysis.spectrum is None:
+        analysis.spectrum = _classify_spectrum(g)
+    return analysis.spectrum
+
+
+def _classify_spectrum(g: Graph) -> SpectralReport:
     if not g.is_regular:
         raise ValueError("spectral classification needs a regular graph")
     if any(g.has_loop(v) for v in range(g.n)):
@@ -379,7 +432,7 @@ def classify_spectrum(g: Graph) -> SpectralReport:
     k = g.regularity
     if not k:
         raise ValueError("the graph has no edges")
-    cp = intpoly.charpoly(g.adjacency_matrix().tolist())
+    cp = intpoly.charpoly(g.adjacency_matrix())
     lines = []
     residual = cp
     zeros = 0
@@ -451,8 +504,9 @@ def classify_spectrum(g: Graph) -> SpectralReport:
                         d = intpoly.degree(residual)
             n_cand += 1
     unfactored = None if intpoly.degree(residual) < 1 else residual
-    if unfactored is None:
-        assert residual == (1,), residual
+    if unfactored is None and residual != (1,):
+        raise InconsistencyError(
+            f"charpoly {cp} left the non-monic residual {residual}")
     lines.sort(key=lambda l: sort_key(l.mu) if l.mu is not None
                else (float("inf"), str(l.lam_poly)))
     return SpectralReport(g.n, k, cp, tuple(lines), unfactored)
@@ -536,17 +590,18 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
     else:
         sources = tuple(sources)
     k = g.regularity
-    a = g.adjacency_matrix().tolist()
+    nbrs = g.neighbors
     hits = set()
     for u in sources:
+        # cur = k^tau T_tau(P) e_u, by X_(tau+1) = 2 A X_tau - k^2 X_(tau-1)
         prev = [0] * g.n
         prev[u] = 1
-        cur = [sum(a[i][j] * prev[j] for j in range(g.n)) for i in range(g.n)]
+        cur = [sum(prev[j] for j in row) for row in nbrs]
         target = k
         for tau in range(1, bound + 1):
             if tau > 1:
-                nxt = [2 * sum(a[i][j] * cur[j] for j in range(g.n)) - k * k * prev[i]
-                       for i in range(g.n)]
+                nxt = [2 * sum(cur[j] for j in row) - k * k * p
+                       for row, p in zip(nbrs, prev)]
                 prev, cur = cur, nxt
                 target *= k
             nz = [i for i, x in enumerate(cur) if x]
@@ -597,7 +652,7 @@ def _field_nullspace(rows):
 
 def _eigenbasis(g: Graph, lam):
     """Nullspace basis of A - lam*I over Q or Q(sqrt(d))."""
-    a = g.adjacency_matrix().tolist()
+    a = g.adjacency_matrix()
     rows = [[(Surd(x) if isinstance(lam, Surd) else Fraction(x)) - (lam if i == j else 0)
              for j, x in enumerate(row)] for i, row in enumerate(a)]
     return _field_nullspace(rows)

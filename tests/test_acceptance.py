@@ -183,7 +183,7 @@ def _chebyshev_columns(g, u, tau_max):
     n = g.n
     prev = [Fraction(0)] * n
     prev[u] = Fraction(1)
-    a = g.adjacency_matrix().tolist()
+    a = g.adjacency_matrix()
 
     def apply_p(vec):
         return [Fraction(sum(a[i][j] * vec[j] for j in range(n)), 1) / k
@@ -219,7 +219,7 @@ def _orbit_projector_polys(g):
 
 
 def _poly_at_adjacency(g, coeffs, u):
-    a = g.adjacency_matrix().tolist()
+    a = g.adjacency_matrix()
     n = g.n
     cur = [0] * n
     cur[u] = 1

@@ -143,6 +143,19 @@ def test_route_disagreement_exits_two(capsys, monkeypatch):
     assert "internal inconsistency" in captured.err
 
 
+def test_walk_analyses_each_component_once(capsys, charpoly_sizes,
+                                           search_horizons):
+    charpolys, searches = charpoly_sizes, search_horizons
+    # three periodic components, then one aperiodic connected graph
+    code, out = _run(capsys, "walk", "Z3 x Z3", "--family", "quadratic-unitary")
+    assert code == 0 and len(json.loads(out)["components"]) == 3
+    assert charpolys == [3, 3, 3] and searches == [6, 6, 6]
+    charpolys.clear()
+    searches.clear()
+    code, _ = _run(capsys, "walk", "Z13", "--family", "quadratic-unitary")
+    assert code == 0 and charpolys == [13] and searches == []
+
+
 def test_verify_json_small_sweep(capsys):
     code, out = _run(capsys, "verify", "--max-order", "6")
     assert code == 0

@@ -212,7 +212,7 @@ def test_permutation_algebra():
     assert p.compose(p.inverse()).is_identity
     r = p.compose(q)
     assert [r(i) for i in range(3)] == [p(q(i)) for i in range(3)]
-    mat = p.matrix()
+    mat = np.array(p.matrix())
     e0 = np.array([1, 0, 0])
     assert np.array_equal(mat @ e0, np.array([0, 1, 0]))
 

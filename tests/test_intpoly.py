@@ -1,11 +1,14 @@
 """Integer polynomial helpers and characteristic polynomials."""
 
+import math
 import random
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ringwalk import intpoly
+from ringwalk import intpoly, verify
+from ringwalk.graphs import quadratic_unitary_cayley_graph
+from ringwalk.rings import make_ring
 
 
 def test_arithmetic_basics():
@@ -115,3 +118,49 @@ def test_evaluation_is_a_homomorphism(p, q):
     at = 3
     assert intpoly.evaluate(intpoly.mul(p, q), at) == (
         intpoly.evaluate(p, at) * intpoly.evaluate(q, at))
+
+
+_square_matrices = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(_square_matrices)
+@settings(max_examples=60, deadline=None)
+def test_charpoly_matches_reference_on_random_matrices(mat):
+    assert intpoly.charpoly(mat) == intpoly.charpoly_reference(mat)
+
+
+@given(st.integers(1, 12), st.integers(-10 ** 6, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_charpoly_of_scalar_matrix(n, c):
+    # (x - c)^n: the coefficient bound (1 + |c|)^n is nearly tight here.
+    mat = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    expected = tuple(math.comb(n, i) * (-c) ** (n - i) for i in range(n + 1))
+    assert intpoly.charpoly(mat) == expected == intpoly.charpoly_reference(mat)
+
+
+def test_charpoly_edge_cases():
+    for n in range(1, 6):
+        assert intpoly.charpoly([[0] * n for _ in range(n)]) == (0,) * n + (1,)
+    assert intpoly.charpoly([[-7]]) == (7, 1)
+    assert intpoly.charpoly([[0, 1], [0, 0]]) == (0, 0, 1)  # nilpotent
+    assert intpoly.charpoly([[1, 2], [3, 4]]) == (-2, -5, 1)
+
+
+def test_frobenius_bound_folds_few_primes(monkeypatch):
+    """The 50-regular Z101 quadratic graph: 6 primes, not the 10 the
+    row-sum bound 2(1+50)^101 needs; the result is still exact."""
+    ring = make_ring("Z101")
+    g = quadratic_unitary_cayley_graph(ring)
+    passes = []
+    real = intpoly._charpoly_mod
+
+    def counted(mat, p):
+        passes.append(p)
+        return real(mat, p)
+
+    monkeypatch.setattr(intpoly, "_charpoly_mod", counted)
+    computed = intpoly.charpoly(g.adjacency_matrix())
+    assert len(passes) <= 6
+    assert computed == verify.predicted_quadratic_spectrum(ring).charpoly()

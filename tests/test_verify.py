@@ -198,3 +198,12 @@ def test_sweep_is_clean_at_order_eight():
     assert "Z8" in tokens and "GF(8)" in tokens
     positives = {r.token for r in records if r.pst_positive}
     assert positives == {"Z2", "Z4", "G(2)", "Z3 x Z2"}
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z2 x Z2"])
+def test_verify_ring_searches_once_within_the_oracle_horizon(spec,
+                                                            search_horizons):
+    """The tau_max=120 oracle, period() and find_pst share one search."""
+    rec = verify.verify_ring(make_ring(spec), "unitary")
+    assert rec.ok and rec.period is not None
+    assert search_horizons == [120]

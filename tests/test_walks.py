@@ -144,6 +144,56 @@ def test_route_disagreement_survives_optimize_flag():
         assert done.returncode == 0, flags
 
 
+def test_bruteforce_memo_answers_by_horizon(search_horizons):
+    searches = search_horizons
+    g = Graph.cycle(4)  # period 4
+    assert walks.bruteforce_period(g, 3) is None
+    assert walks.bruteforce_period(g, 2) is None  # none up to 3 covers 2
+    assert searches == [3]
+    assert walks.bruteforce_period(g, 10) == 4  # beyond 3: search again
+    assert walks.bruteforce_period(g, 4) == 4
+    assert walks.bruteforce_period(g, 3) is None  # found 4 > 3
+    assert walks.bruteforce_period(g, 100) == 4
+    assert searches == [3, 10]
+    assert g.walk_analysis.searched == (10, 4)
+
+
+def test_period_shares_one_search_and_one_charpoly(search_horizons,
+                                                   charpoly_sizes):
+    g = unitary_cayley_graph(make_ring("Z12"))
+    for _ in range(3):
+        assert walks.period(g) == 12
+        assert walks.find_pst(g).period == 12
+    assert search_horizons == [12] and charpoly_sizes == [12]
+
+
+def test_decision_checks_survive_optimize_flag():
+    """Each former decision-path assert raises InconsistencyError, -O or not."""
+    code = (
+        "from fractions import Fraction\n"
+        "from ringwalk import cli, errors, intpoly, verify\n"
+        "def raises(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except errors.InconsistencyError:\n"
+        "        return True\n"
+        "    return False\n"
+        "half = verify.PredictedSpectrum(((Fraction(1, 2), 1),), 1, 1, 'x')\n"
+        "short = verify.PredictedSpectrum(((1, 1),), 1, 2, 'x')\n"
+        "assert_free = [raises(half.charpoly), raises(short.charpoly),\n"
+        "    raises(lambda: verify._merge([(1, 1)], 1, 2, 'x'))]\n"
+        "intpoly.charpoly = lambda mat: (0,) * len(mat) + (2,)\n"
+        "ok = all(assert_free) and cli.main(['walk', 'Z4']) == 2\n"
+        "raise SystemExit(0 if ok else 1)\n")
+    src = str(Path(walks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (flags, done.stderr)
+        assert "internal inconsistency" in done.stderr
+
+
 def test_nonperiodic_graphs():
     assert walks.period(_petersen()) is None
     for spec in ("Z13", "Z7"):
@@ -196,7 +246,7 @@ def test_classifier_agrees_with_numpy_spectrum():
             continue
         ours = sorted(float(mu) for mu, mult in pairs for _ in range(mult))
         k = g.regularity
-        theirs = sorted(np.linalg.eigvalsh(g.adjacency_matrix() / k))
+        theirs = sorted(np.linalg.eigvalsh(np.array(g.adjacency_matrix()) / k))
         assert np.allclose(ours, theirs, atol=1e-9)
 
 
