@@ -28,8 +28,7 @@ from .verify import (PredictedSpectrum, VerificationRecord, ideal_product,
 from .walks import (PSTPair, PSTReport, RationalMatrix, SpectralLine,
                     SpectralReport, bruteforce_period, chebyshev_apply,
                     chebyshev_matrix, classify_spectrum, discriminant,
-                    eigen_support, eigenprojector_vector, evolution_power,
-                    find_pst, is_periodic_bruteforce, period, time_evolution,
+                    evolution_power, find_pst, period, time_evolution,
                     vertex_transfer_matrix)
 
 __version__ = "0.1.0"
@@ -52,9 +51,7 @@ __all__ = [
     "predicted_unitary_spectrum", "quadratic_regime", "sweep", "verify_ring",
     "PSTPair", "PSTReport", "RationalMatrix", "SpectralLine", "SpectralReport",
     "bruteforce_period", "chebyshev_apply", "chebyshev_matrix",
-    "classify_spectrum", "discriminant", "eigen_support",
-    "eigenprojector_vector", "evolution_power", "find_pst",
-    "is_periodic_bruteforce", "period", "time_evolution",
-    "vertex_transfer_matrix",
+    "classify_spectrum", "discriminant", "evolution_power", "find_pst",
+    "period", "time_evolution", "vertex_transfer_matrix",
     "__version__",
 ]

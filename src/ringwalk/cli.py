@@ -10,8 +10,8 @@ identical invocations are byte-identical.  Text output is a rendering of
 the same report dictionaries, never separately computed.  Exit codes:
 0 success, 1 usage error, 2 verification failure or internal
 inconsistency, 3 size cap exceeded.
-The GROVER_RING_CAP environment variable overrides the default walk-size
-cap of 36 vertices.
+Every subcommand refuses rings above one order cap before doing any work;
+the GROVER_RING_CAP environment variable overrides its default of 36.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ from . import intpoly, verify as verify_mod, walks
 from .errors import InconsistencyError, SizeCapExceeded
 from .graphs import graph_json, quadratic_unitary_cayley_graph, to_dot, \
     unitary_cayley_graph
-from .rings import is_s_ring, make_ring, quadratic_connection, square_units, \
-    units
+from .rings import DEFAULT_ORDER_CAP, is_s_ring, make_ring, \
+    quadratic_connection, square_units, units
 from .scalars import exact_str
 
-DEFAULT_CAP = 36
 _FAMILIES = ("unitary", "quadratic-unitary")
 
 
 def _cap() -> int:
     raw = os.environ.get("GROVER_RING_CAP")
     if raw is None:
-        return DEFAULT_CAP
+        return DEFAULT_ORDER_CAP
     try:
         value = int(raw)
     except ValueError:
@@ -55,7 +54,7 @@ def _family_graph(ring, family):
 # -- ring ------------------------------------------------------------------
 
 def _element_block(ring, elements):
-    listed = ring.order <= DEFAULT_CAP
+    listed = ring.order <= DEFAULT_ORDER_CAP
     return {
         "count": len(elements),
         "elements": [str(x) for x in sorted(elements)] if listed else None,
@@ -63,7 +62,7 @@ def _element_block(ring, elements):
 
 
 def _ring_report(spec: str) -> dict:
-    ring = make_ring(spec)
+    ring = make_ring(spec, cap=_cap())
     return {
         "spec": spec,
         "ring": ring.token,
@@ -98,9 +97,7 @@ def _ring_text(rep: dict) -> str:
 
 # -- graph -----------------------------------------------------------------
 
-def _graph_report(spec: str, family: str) -> dict:
-    ring = make_ring(spec)
-    g = _family_graph(ring, family)
+def _graph_report(ring, g, family: str) -> dict:
     return {
         "ring": ring.token,
         "family": family,
@@ -158,12 +155,7 @@ def _component_report(g, labels, tau_max, period_bound) -> dict:
 
 
 def _walk_report(spec: str, family: str, tau_max, period_bound) -> dict:
-    ring = make_ring(spec)
-    cap = _cap()
-    if ring.order > cap:
-        raise SizeCapExceeded(
-            f"ring order {ring.order} exceeds the walk cap {cap} "
-            "(set GROVER_RING_CAP to override)")
+    ring = make_ring(spec, cap=_cap())
     g = _family_graph(ring, family)
     components = g.connected_components()
     reports = []
@@ -240,13 +232,8 @@ def _record_json(rec) -> dict:
 
 
 def _verify_report(max_order: int, family: str, tau_max: int) -> dict:
-    cap = _cap()
-    if max_order > cap:
-        raise SizeCapExceeded(
-            f"max order {max_order} exceeds the cap {cap} "
-            "(set GROVER_RING_CAP to override)")
     internal = "unitary" if family == "unitary" else "quadratic"
-    records = verify_mod.sweep(max_order, internal, tau_max=tau_max, cap=cap)
+    records = verify_mod.sweep(max_order, internal, tau_max=tau_max, cap=_cap())
     payload = [_record_json(r) for r in records]
     failed = sorted(r["ring"] for r in payload if r["status"] == "fail")
     return {
@@ -346,15 +333,15 @@ def main(argv=None) -> int:
             _emit(_to_json(rep) if args.format == "json" else _ring_text(rep),
                   args.out)
         elif args.command == "graph":
-            rep = _graph_report(args.spec, args.family)
+            ring = make_ring(args.spec, cap=_cap())
+            g = _family_graph(ring, args.family)
+            rep = _graph_report(ring, g, args.family)
             if not rep["connected"]:
                 print(f"warning: graph is disconnected "
                       f"({rep['components']} components)", file=sys.stderr)
             if args.format == "json":
                 _emit(_to_json(rep), args.out)
             else:
-                ring = make_ring(args.spec)
-                g = _family_graph(ring, args.family)
                 _emit(to_dot(g, name=f"{args.family}_{ring.token}"), args.out)
         elif args.command == "walk":
             _positive(parser, "--tau-max", args.tau_max)

@@ -484,7 +484,8 @@ def is_isomorphic(g: Graph, h: Graph):
         for a, b in zip(sorted(members), sorted(classes_h[qperm(i)][1])):
             mapping[a] = b
     perm = Permutation(mapping)
-    assert _verify_mapping(g, h, perm), "quotient search returned a bad mapping"
+    if not _verify_mapping(g, h, perm):
+        raise InconsistencyError("quotient search returned a bad mapping")
     return perm
 
 
@@ -493,10 +494,11 @@ def automorphism_group(g: Graph) -> list[Permutation]:
     if g.n > AUT_CAP:
         raise SizeCapExceeded(f"automorphism enumeration capped at {AUT_CAP} vertices")
     colors = _joint_refinement(g, g)
-    assert colors is not None
+    if colors is None:
+        raise InconsistencyError("refinement separated a graph from itself")
     found = _match(g, g, colors, find_all=True)
-    for perm in found:
-        assert _verify_mapping(g, g, perm)
+    if not all(_verify_mapping(g, g, perm) for perm in found):
+        raise InconsistencyError("automorphism search returned a bad mapping")
     return sorted(found, key=lambda p: p.mapping)
 
 

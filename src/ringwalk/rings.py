@@ -553,10 +553,24 @@ _FACTOR_RE = re.compile(
     r"^(?:Z(?P<zn>\d+)|GF\((?P<gf>\d+)\)|G\((?P<gp>\d+)\)|Zp\[(?P<pp>\d+),(?P<pk>\d+)\])$")
 
 
-def _parse_factor(text: str) -> list:
-    m = _FACTOR_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse ring factor {text!r}")
+def _declared_order(m, cap: int) -> int:
+    """The order a parsed factor spells, or cap + 1 when that is larger.
+
+    Found without factoring, primality tests or powers past the cap: a
+    prime p >= 2 raised past cap.bit_length() already exceeds cap.
+    """
+    if m.group("zn") is not None:
+        n = int(m.group("zn"))
+    elif m.group("gf") is not None:
+        n = int(m.group("gf"))
+    elif m.group("gp") is not None:
+        n = int(m.group("gp")) ** 2
+    else:
+        n = int(m.group("pp")) ** min(int(m.group("pk")), cap.bit_length())
+    return min(n, cap + 1)
+
+
+def _build_factor(m) -> list:
     if m.group("zn") is not None:
         n = int(m.group("zn"))
         if n < 2:
@@ -582,14 +596,27 @@ def _parse_factor(text: str) -> list:
     return [ResidueRing(p, 1) if k == 1 else TruncatedPolynomialRing(p, k)]
 
 
-def make_ring(spec: str) -> ProductRing:
-    """Build a ring from its spec string, e.g. "Z12", "GF(4) x Z3", "G(2)"."""
+def make_ring(spec: str, cap: int | None = None) -> ProductRing:
+    """Build a ring from its spec string, e.g. "Z12", "GF(4) x Z3", "G(2)".
+
+    With a cap, a spec whose order exceeds it raises SizeCapExceeded; each
+    factor's order is checked before that factor is factored or tested for
+    primality.  Without one, any order is built.
+    """
     factors = []
+    order = 1
     for part in spec.split("x"):
         part = part.strip()
         if not part:
             raise ValueError(f"empty factor in ring spec {spec!r}")
-        factors.extend(_parse_factor(part))
+        m = _FACTOR_RE.match(part)
+        if not m:
+            raise ValueError(f"cannot parse ring factor {part!r}")
+        if cap is not None:
+            order *= _declared_order(m, cap)
+            if order > cap:
+                raise SizeCapExceeded(f"ring {spec!r} exceeds the order cap {cap}")
+        factors.extend(_build_factor(m))
     return ProductRing(factors)
 
 

@@ -11,7 +11,7 @@ terms is interchangeable with a plain :class:`~fractions.Fraction`.
 This is all the field arithmetic the walk machinery needs: eigenvalues of
 the graphs under study are rational or quadratic, and the closed-form
 spectra of product rings live in multiquadratic fields.  Division is exact
-(iterated conjugation), so Gaussian elimination over these values works.
+(iterated conjugation).
 """
 
 from __future__ import annotations
@@ -140,6 +140,15 @@ class Surd:
     def _conjugate(self, p: int) -> "Surd":
         # flip the sign of sqrt(p)
         return Surd(_terms={k: (-v if p in k else v) for k, v in self._terms.items()})
+
+    def conjugates(self) -> tuple:
+        """The Galois orbit: every value reached by flipping the signs of
+        the square roots in self, self first.  The product of x minus each
+        conjugate is the minimal polynomial over the rationals."""
+        orbit = [self]
+        for p in sorted(set().union(*self._terms)):
+            orbit += [x._conjugate(p) for x in orbit]
+        return tuple(dict.fromkeys(orbit))
 
     def inverse(self) -> "Surd":
         if not self._terms:

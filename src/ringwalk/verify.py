@@ -27,12 +27,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import walks
+from . import intpoly, walks
 from .errors import FormulaNotApplicable, InconsistencyError
 from .graphs import (Graph, Permutation, is_isomorphic, tensor_product,
                      quadratic_unitary_cayley_graph, unitary_cayley_graph)
 from .rings import ProductRing, enumerate_rings, is_s_ring, make_ring
-from .scalars import Surd, sort_key
+from .scalars import Surd, as_surd, sort_key
 
 __all__ = [
     "PredictedSpectrum", "VerificationRecord", "predicted_unitary_spectrum",
@@ -60,27 +60,40 @@ class PredictedSpectrum:
     formula: str
 
     def charpoly(self):
-        """Expand prod (x - value)^mult; coefficients must come out integral.
+        """Expand prod (x - value)^mult over the integers, one orbit at a time.
 
-        Anything else means the formula produced an impossible spectrum, and
-        raises InconsistencyError.
+        The conjugates of a value (its images under sign changes of its
+        square roots) must all be listed with the same multiplicity; their
+        product is the orbit's minimal polynomial, which must be integral
+        and is raised to that multiplicity.  Only the formula's own values
+        enter, never a computed spectrum.  Anything else means the formula
+        produced an impossible spectrum, and raises InconsistencyError.
         """
-        poly = [Surd(1)]
-        for value, mult in self.pairs:
-            root = value if isinstance(value, Surd) else Surd(value)
-            for _ in range(mult):
-                nxt = [-root * poly[0]]
-                for i in range(1, len(poly)):
-                    nxt.append(poly[i - 1] - root * poly[i])
-                nxt.append(poly[-1])
-                poly = nxt
-        out = []
-        for c in poly:
-            f = c.as_fraction() if c.is_rational else None
-            if f is None or f.denominator != 1:
+        left = {_canon(v): m for v, m in self.pairs}
+        out = (1,)
+        for value, mult in list(left.items()):
+            if value not in left:
+                continue  # expanded with an earlier conjugate
+            orbit = [_canon(c) for c in as_surd(value).conjugates()]
+            if any(left.pop(c, None) != mult for c in orbit):
                 raise InconsistencyError(
-                    f"{self.formula} charpoly has the non-integer coefficient {c}")
-            out.append(int(f))
+                    f"{self.formula} lists {value} without every conjugate "
+                    f"at multiplicity {mult}")
+            minimal = [Surd(1)]
+            for root in orbit:
+                minimal = [-root * minimal[0]] + [
+                    minimal[i - 1] - root * minimal[i]
+                    for i in range(1, len(minimal))] + [minimal[-1]]
+            factor = []
+            for c in minimal:
+                f = c.as_fraction() if c.is_rational else None
+                if f is None or f.denominator != 1:
+                    raise InconsistencyError(
+                        f"{self.formula} charpoly has the non-integer "
+                        f"coefficient {c}")
+                factor.append(int(f))
+            for _ in range(mult):
+                out = intpoly.mul(out, factor)
         if len(out) != self.n + 1:
             raise InconsistencyError(
                 f"{self.formula} charpoly has degree {len(out) - 1}, not {self.n}")

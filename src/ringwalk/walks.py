@@ -46,8 +46,7 @@ __all__ = [
     "RationalMatrix", "SpectralLine", "SpectralReport", "PSTPair", "PSTReport",
     "time_evolution", "discriminant", "chebyshev_apply", "chebyshev_matrix",
     "vertex_transfer_matrix", "evolution_power", "classify_spectrum", "period",
-    "bruteforce_period", "is_periodic_bruteforce", "find_pst", "eigen_support",
-    "eigenprojector_vector", "two_cos_minimal_poly", "TAU_CAP",
+    "bruteforce_period", "find_pst", "two_cos_minimal_poly", "TAU_CAP",
 ]
 
 
@@ -80,12 +79,6 @@ class RationalMatrix:
         return all(x == (1 if i == j else 0)
                    for i, row in enumerate(self.entries)
                    for j, x in enumerate(row))
-
-    @classmethod
-    def identity(cls, index) -> "RationalMatrix":
-        n = len(index)
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                         for i in range(n)), tuple(index))
 
 
 class _ArcSpace:
@@ -303,11 +296,6 @@ def _power_is_identity(ar: _ArcSpace, tau: int, arcs) -> bool:
             if v != (target if i == j else 0):
                 return False
     return True
-
-
-def is_periodic_bruteforce(g: Graph, tau_max: int) -> bool:
-    """Does U^tau = I hold for some tau <= tau_max?  Independent oracle."""
-    return bruteforce_period(g, tau_max) is not None
 
 
 # -- spectral classification ----------------------------------------------
@@ -612,105 +600,3 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
                 hits.add(PSTPair(v, u, tau, phase))  # T_tau(P) is symmetric
     pairs = tuple(sorted(hits, key=lambda h: (h.time, h.source, h.target)))
     return PSTReport(pairs, report.periodic, per, bound, sources)
-
-
-# -- eigenprojections ------------------------------------------------------
-
-def _field_nullspace(rows):
-    """Basis of the nullspace of a matrix of Fractions/Surds (row vectors)."""
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_head = m[r][c]
-        m[r] = [x / inv_head for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -m[i][f]
-        basis.append(vec)
-    return basis
-
-
-def _eigenbasis(g: Graph, lam):
-    """Nullspace basis of A - lam*I over Q or Q(sqrt(d))."""
-    a = g.adjacency_matrix()
-    rows = [[(Surd(x) if isinstance(lam, Surd) else Fraction(x)) - (lam if i == j else 0)
-             for j, x in enumerate(row)] for i, row in enumerate(a)]
-    return _field_nullspace(rows)
-
-
-def eigen_support(g: Graph, u: int):
-    """The distinct discriminant eigenvalues mu whose eigenprojection sees u.
-
-    E_mu e_u = 0 iff the u-th coordinate of every basis vector of the
-    eigenspace vanishes, so support is read off an exact eigenbasis.
-    Raises if any eigenvalue has degree > 2.
-    """
-    report = classify_spectrum(g)
-    k = g.regularity
-    out = []
-    total = 0
-    for mu, mult in report.eigenvalues():
-        lam = mu * k
-        if isinstance(lam, Fraction):
-            assert lam.denominator == 1
-            lam = int(lam)
-        basis = _eigenbasis(g, lam)
-        assert len(basis) == mult, (mu, len(basis), mult)
-        total += mult
-        if any(vec[u] for vec in basis):
-            out.append(mu)
-    assert total == g.n
-    return tuple(sorted(out, key=sort_key))
-
-
-def eigenprojector_vector(g: Graph, mu, vec):
-    """E_mu vec, exactly: solve (B^T B) y = B^T vec and return B y."""
-    k = g.regularity
-    lam = mu * k
-    if isinstance(lam, Fraction) and lam.denominator == 1:
-        lam = int(lam)
-    basis = _eigenbasis(g, lam)
-    if not basis:
-        raise ValueError(f"{mu} is not an eigenvalue")
-    m = len(basis)
-    gram = [[sum(basis[i][t] * basis[j][t] for t in range(g.n)) for j in range(m)]
-            for i in range(m)]
-    rhs = [sum(basis[i][t] * vec[t] for t in range(g.n)) for i in range(m)]
-    y = _field_solve(gram, rhs)
-    return tuple(sum(basis[i][t] * y[i] for i in range(m)) for t in range(g.n))
-
-
-def _field_solve(mat, rhs):
-    """Solve a nonsingular system over Fractions/Surds by elimination."""
-    n = len(mat)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c])
-        m[c], m[piv] = m[piv], m[c]
-        head = m[c][c]
-        m[c] = [x / head for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]

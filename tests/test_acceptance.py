@@ -123,7 +123,7 @@ def test_criterion_5_quadratic_periodicity_and_transfer(quadratic_sweep_16):
     for spec in ("Z13", "Z7"):
         g = graph(spec)
         ok &= not walks.classify_spectrum(g).periodic
-        ok &= not walks.is_periodic_bruteforce(g, 120)
+        ok &= walks.bruteforce_period(g, 120) is None
         ok &= verify.predicted_periodic_quadratic(make_ring(spec)) is False
 
     # Z9 sits in the one-residue-3-mod-4 regime and is periodic there.
@@ -264,16 +264,12 @@ def test_criterion_7_walk_algebra_properties():
             assert per is not None
             assert walks.evolution_power(g, per).is_identity
         else:
-            assert not walks.is_periodic_bruteforce(g, 120)
+            assert walks.bruteforce_period(g, 120) is None
 
         pst = walks.find_pst(g, tau_max=30)
         if not pst.pairs:
             continue
         projectors = _orbit_projector_polys(g)
-        try:
-            eigenvalues = [mu for mu, _ in report.eigenvalues()]
-        except ValueError:
-            eigenvalues = None
         for pair in pst.pairs:
             pst_pairs_seen += 1
             u, v = pair.source, pair.target
@@ -289,16 +285,6 @@ def test_criterion_7_walk_algebra_properties():
                 wu = _poly_at_adjacency(g, coeffs, u)
                 wv = _poly_at_adjacency(g, coeffs, v)
                 assert wu == wv or wu == [-x for x in wv], (g, u, v)
-            if eigenvalues is not None:
-                e_u = [Fraction(0)] * g.n
-                e_u[u] = Fraction(1)
-                e_v = [Fraction(0)] * g.n
-                e_v[v] = Fraction(1)
-                for mu in eigenvalues:
-                    pu = walks.eigenprojector_vector(g, mu, e_u)
-                    pv = walks.eigenprojector_vector(g, mu, e_v)
-                    neg = tuple(-x for x in pv)
-                    assert pu == pv or pu == neg, (g, mu, u, v)
     _verdict(7, "walk algebra properties", pst_pairs_seen > 0,
              f"50 graphs, {pst_pairs_seen} transfer pairs exercised")
 

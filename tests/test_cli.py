@@ -1,11 +1,15 @@
 """Command line interface: output shapes, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringwalk import cli
 from ringwalk import verify as verify_mod
+from ringwalk.rings import enumerate_rings
 
 
 def _run(capsys, *argv):
@@ -122,6 +126,21 @@ def test_order_cap_exits_three(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["ring", "graph", "walk"])
+def test_every_command_refuses_large_rings_first(capsys, monkeypatch, command):
+    # the two large specs would take seconds to factor, or gigabytes to list,
+    # if the cap were checked after building the ring
+    for spec in ("Z37", "Z2305843009213693951", "Zp[2,100000]"):
+        code = cli.main([command, spec])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", spec
+        assert "cap 36" in captured.err
+    monkeypatch.setenv("GROVER_RING_CAP", "40")
+    assert _run(capsys, command, "Z37")[0] == 0
+    for spec in ("Z2305843009213693951", "Zp[2,100000]"):
+        assert _run(capsys, command, spec)[0] == 3
+
+
 def test_bad_cap_env_exits_three(capsys, monkeypatch):
     monkeypatch.setenv("GROVER_RING_CAP", "banana")
     code, _ = _run(capsys, "walk", "Z12")
@@ -204,3 +223,34 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["status"] == "fail"
     assert any(r["status"] == "fail" for r in payload["records"])
+
+
+_NUMBER = st.one_of(st.integers(0, 40), st.integers(37, 10 ** 30))
+_FACTOR = st.one_of(
+    st.builds("Z{}".format, _NUMBER),
+    st.builds("GF({})".format, _NUMBER),
+    st.builds("G({})".format, _NUMBER),
+    st.builds("Zp[{},{}]".format, _NUMBER, _NUMBER),
+    st.sampled_from(["", "Z", "Z-3", "GF(6)", "G(x)", "Zp[4,2]", "Q7", "z5",
+                     "Z12)", "x"]),
+)
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.sampled_from(["ring", "graph", "walk"]),
+       st.one_of(st.sampled_from([r.token for r in enumerate_rings(36)]),
+                 st.lists(_FACTOR, min_size=1, max_size=3).map(" x ".join)),
+       st.sampled_from(["unitary", "quadratic-unitary"]))
+@settings(max_examples=40, deadline=None)
+def test_cli_specs_exit_cleanly_and_repeat_exactly(command, spec, family):
+    argv = [command, spec] + (["--family", family] if command != "ring" else [])
+    code, out, err = _main_output(argv)
+    assert code in (0, 1, 3), (argv, err)
+    assert "Traceback" not in err
+    assert _main_output(argv) == (code, out, err)

@@ -149,6 +149,16 @@ def test_catalog_cap():
         enumerate_rings(50, cap=36)
 
 
+def test_make_ring_cap_bounds_the_product():
+    assert make_ring("Z6 x Z6", cap=36).order == 36
+    for spec in ("Z6 x Z7", "Zp[2,6]", "G(7)", "GF(10000000000000000000000)"):
+        with pytest.raises(errors.SizeCapExceeded):
+            make_ring(spec, cap=36)
+    with pytest.raises(ValueError):
+        make_ring("Zp[1,5]", cap=36)
+    assert make_ring("GF(128)").order == 128  # no cap without one
+
+
 def test_galois_field_is_a_field():
     gf = make_ring("GF(8)")
     for x in gf.elements():

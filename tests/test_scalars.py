@@ -49,6 +49,14 @@ def test_inverse_with_two_radicals():
     assert y * y.inverse() == 1
 
 
+def test_conjugates_are_the_galois_orbit():
+    r2, r3 = Surd.sqrt(2), Surd.sqrt(3)
+    x = 1 + r2 + r3
+    assert x.conjugates() == (x, 1 - r2 + r3, 1 + r2 - r3, 1 - r2 - r3)
+    assert set(Surd.sqrt(6).conjugates()) == {Surd.sqrt(6), -Surd.sqrt(6)}
+    assert Surd(Fraction(1, 3)).conjugates() == (Surd(Fraction(1, 3)),)
+
+
 def test_rendering():
     assert exact_str(Fraction(3, 4)) == "3/4"
     assert exact_str(Surd.sqrt(2) / 2) == "sqrt(2)/2"

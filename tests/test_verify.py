@@ -4,8 +4,9 @@ import pytest
 
 from ringwalk import intpoly, verify
 from ringwalk.errors import FormulaNotApplicable
+from ringwalk.graphs import quadratic_unitary_cayley_graph
 from ringwalk.rings import make_ring
-from ringwalk.scalars import exact_str
+from ringwalk.scalars import as_surd, exact_str
 
 
 def _as_dict(prediction):
@@ -64,6 +65,16 @@ def test_quadratic_spectrum_charpolys_are_integral():
         poly = pred.charpoly()
         assert intpoly.degree(poly) == ring.order
         assert all(isinstance(c, int) for c in poly)
+
+
+def test_multiquadratic_closed_form_matches_the_graph():
+    # sqrt(5), sqrt(13) and sqrt(65) give this spectrum Galois orbits of
+    # size 4, which no catalog ring up to order 36 reaches
+    ring = make_ring("Z5 x Z13")
+    pred = verify.predicted_quadratic_spectrum(ring)
+    assert max(len(as_surd(v).conjugates()) for v, _ in pred.pairs) == 4
+    g = quadratic_unitary_cayley_graph(ring)
+    assert pred.charpoly() == intpoly.charpoly(g.adjacency_matrix())
 
 
 def test_quadratic_spectrum_rejects_even_residues():

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from ringwalk import errors, walks
 from ringwalk.graphs import Graph, quadratic_unitary_cayley_graph, unitary_cayley_graph
 from ringwalk.rings import enumerate_rings, make_ring
-from ringwalk.scalars import Surd
 
 
 def _petersen() -> Graph:
@@ -171,7 +170,8 @@ def test_decision_checks_survive_optimize_flag():
     """Each former decision-path assert raises InconsistencyError, -O or not."""
     code = (
         "from fractions import Fraction\n"
-        "from ringwalk import cli, errors, intpoly, verify\n"
+        "from ringwalk import cli, errors, graphs, intpoly, verify\n"
+        "from ringwalk.scalars import Surd\n"
         "def raises(f):\n"
         "    try:\n"
         "        f()\n"
@@ -180,8 +180,16 @@ def test_decision_checks_survive_optimize_flag():
         "    return False\n"
         "half = verify.PredictedSpectrum(((Fraction(1, 2), 1),), 1, 1, 'x')\n"
         "short = verify.PredictedSpectrum(((1, 1),), 1, 2, 'x')\n"
+        "lone = verify.PredictedSpectrum(((Surd.sqrt(2), 1), (1, 1)), 1, 2, 'x')\n"
+        "c5 = graphs.Graph.cycle(5)\n"
+        "real_match = graphs._match\n"
+        "graphs._match = lambda *a, **k: [graphs.Permutation([0, 2, 1, 3, 4])]\n"
         "assert_free = [raises(half.charpoly), raises(short.charpoly),\n"
-        "    raises(lambda: verify._merge([(1, 1)], 1, 2, 'x'))]\n"
+        "    raises(lone.charpoly),\n"
+        "    raises(lambda: verify._merge([(1, 1)], 1, 2, 'x')),\n"
+        "    raises(lambda: graphs.is_isomorphic(c5, c5)),\n"
+        "    raises(lambda: graphs.automorphism_group(c5))]\n"
+        "graphs._match = real_match\n"
         "intpoly.charpoly = lambda mat: (0,) * len(mat) + (2,)\n"
         "ok = all(assert_free) and cli.main(['walk', 'Z4']) == 2\n"
         "raise SystemExit(0 if ok else 1)\n")
@@ -199,7 +207,7 @@ def test_nonperiodic_graphs():
     for spec in ("Z13", "Z7"):
         g = quadratic_unitary_cayley_graph(make_ring(spec))
         assert walks.period(g) is None
-        assert not walks.is_periodic_bruteforce(g, 120)
+        assert walks.bruteforce_period(g, 120) is None
 
 
 def test_classifier_on_cycles():
@@ -301,26 +309,6 @@ def test_transfer_matrix_certifies_pst():
     t = walks.vertex_transfer_matrix(g, 3)
     col = [t.entries[i][0] for i in range(6)]
     assert col == [0, 0, 0, 1, 0, 0]
-
-
-def test_eigen_support_sees_every_eigenvalue_on_transitive_graphs():
-    g = unitary_cayley_graph(make_ring("Z12"))
-    support = set(walks.eigen_support(g, 0))
-    spectrum = {mu for mu, _ in walks.classify_spectrum(g).eigenvalues()}
-    assert support == spectrum
-
-
-def test_eigenprojector_vectors_resolve_identity():
-    g = Graph.cycle(5)
-    rep = walks.classify_spectrum(g)
-    e0 = [Fraction(0)] * 5
-    e0[0] = Fraction(1)
-    acc = [Surd(0)] * 5
-    for mu, _ in rep.eigenvalues():
-        proj = walks.eigenprojector_vector(g, mu, e0)
-        acc = [a + p for a, p in zip(acc, proj)]
-    assert [Surd(x) if isinstance(x, Fraction) else x for x in acc] == [
-        Surd(1), Surd(0), Surd(0), Surd(0), Surd(0)]
 
 
 def test_arcspace_rejects_bad_graphs():
