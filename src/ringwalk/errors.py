@@ -12,7 +12,9 @@ class FormulaNotApplicable(Exception):
 class InconsistencyError(Exception):
     """An internal cross-check failed.
 
-    Raised when two independent routes disagree on a verdict, or when a
-    graph's carried translation action is not an automorphism group.  Either
-    is a bug in ringwalk, never a property of the input.
+    Raised when two independent routes disagree on a verdict, when a
+    graph's carried translation action is not an automorphism group, or
+    when a graph labelled by ring elements is not the Cayley graph its
+    labels describe.  Each is a bug in ringwalk, never a property of a ring
+    spec.
     """

@@ -1,16 +1,21 @@
 """Dense integer polynomials and exact characteristic polynomials.
 
 Polynomials are tuples of Python ints, constant term first.  Everything here
-is exact integer arithmetic; the characteristic polynomial is computed
-modulo a batch of word-size primes (Hessenberg reduction, then the standard
-minor recurrence) and recombined by CRT under a rigorous coefficient bound,
-so no floating point and no rational blow-up.
+is exact integer arithmetic.  A characteristic polynomial is computed
+modulo a batch of word-size primes and recombined by CRT under a rigorous
+coefficient bound, so no floating point and no rational blow-up.  Two
+routes fill in the residues: Hessenberg reduction of any square matrix
+(`charpoly`), and the additive characters of an abelian Cayley graph
+(`cayley_charpoly`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import isqrt
+from math import comb, gcd, isqrt
+
+from .errors import InconsistencyError
 
 IntPoly = tuple  # tuple of ints, constant first
 
@@ -122,7 +127,8 @@ def cyclotomic(n: int) -> IntPoly:
     for d in range(1, n):
         if n % d == 0:
             q, r = divmod_monic(p, cyclotomic(d))
-            assert not r
+            if r:
+                raise InconsistencyError(f"Phi_{d} does not divide x^{n} - 1")
             p = q
     return p
 
@@ -141,7 +147,8 @@ def two_cos_minimal_poly(n: int) -> IntPoly:
         return (2, 1)
     c = cyclotomic(n)
     d = len(c) - 1
-    assert d % 2 == 0 and c == tuple(reversed(c)), "cyclotomic not palindromic"
+    if d % 2 or c != tuple(reversed(c)):
+        raise InconsistencyError(f"Phi_{n} = {c} is not palindromic of even degree")
     half = d // 2
     # z^-half * Phi_n(z) = a_half + sum_{k>=1} a_{half+k} (z^k + z^-k)
     pk_prev, pk = (2,), (0, 1)
@@ -197,24 +204,64 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_prime_pool: list[int] = []
+_prime_pools: dict[int, list[int]] = {}
 
 
-def _primes_with_product_above(bound: int) -> list[int]:
+def _primes_with_product_above(bound: int, e: int = 1) -> list[int]:
+    """Primes q = 1 (mod 2e) below 2^62, largest first, with product > bound."""
+    pool = _prime_pools.setdefault(e, [])
+    step = 2 * e
     out = []
     prod = 1
     i = 0
     while prod <= bound:
-        if i == len(_prime_pool):
-            candidate = (_prime_pool[-1] - 2) if _prime_pool else ((1 << 62) - 1)
+        if i == len(pool):
+            top = (1 << 62) - 1
+            candidate = (pool[-1] - step) if pool else top - (top - 1) % step
             while not _is_prime(candidate):
-                candidate -= 2
-            _prime_pool.append(candidate)
-        p = _prime_pool[i]
+                candidate -= step
+            pool.append(candidate)
+        p = pool[i]
         out.append(p)
         prod *= p
         i += 1
     return out
+
+
+def _coefficient_bound(frobenius_sq: int, n: int) -> int:
+    """Twice a bound on every |c_i| of an n x n matrix's charpoly.
+
+    With F = ||M||_F:
+     - Schur: sum |lambda_i|^2 <= F^2, so by the power mean inequality
+       the mean |lambda_i| is at most F/sqrt(n);
+     - Maclaurin on the |lambda_i|: |c_(n-m)| <= C(n, m) (F/sqrt(n))^m;
+     - summing over m: |c_i| <= (1 + F/sqrt(n))^n <= (1 + r)^n with
+       r = ceil(sqrt(ceil(F^2/n))), never more than the largest row sum.
+    The factor 2 leaves room for the sign in the symmetric lift.
+    """
+    mean_sq = -(-frobenius_sq // n)
+    r = isqrt(mean_sq)
+    if r * r < mean_sq:
+        r += 1
+    return 2 * (1 + r) ** n
+
+
+def _crt_lift(primes, residues) -> IntPoly:
+    """Fold coefficient lists mod each prime by CRT; lift symmetrically."""
+    mod = 1
+    combined = []
+    for p, res in zip(primes, residues):
+        if mod == 1:
+            combined = list(res)
+            mod = p
+            continue
+        inv = pow(mod % p, -1, p)
+        for i, r in enumerate(res):
+            t = (r - combined[i]) % p * inv % p
+            combined[i] = combined[i] + mod * t
+        mod *= p
+    half = mod // 2
+    return tuple(c - mod if c > half else c for c in combined)
 
 
 def _charpoly_mod(mat, p: int) -> list[int]:
@@ -276,35 +323,74 @@ def charpoly(mat) -> IntPoly:
     rows = [[int(x) for x in row] for row in mat]
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    # Coefficient bound from the Frobenius norm F = ||M||_F:
-    #  - Schur: sum |lambda_i|^2 <= F^2, so by the power mean inequality
-    #    the mean |lambda_i| is at most F/sqrt(n);
-    #  - Maclaurin on the |lambda_i|: |c_(n-m)| <= C(n, m) (F/sqrt(n))^m;
-    #  - summing over m: |c_i| <= (1 + F/sqrt(n))^n <= (1 + r)^n with
-    #    r = ceil(sqrt(ceil(F^2/n))), never more than the largest row sum.
-    # The factor 2 leaves room for the sign in the symmetric lift.
-    mean_sq = -(-sum(x * x for row in rows for x in row) // n)
-    r = isqrt(mean_sq)
-    if r * r < mean_sq:
-        r += 1
-    bound = 2 * (1 + r) ** n
+    bound = _coefficient_bound(sum(x * x for row in rows for x in row), n)
     primes = _primes_with_product_above(bound)
-    residues = [_charpoly_mod(rows, p) for p in primes]
-    # CRT fold, then lift to the symmetric range
-    mod = 1
-    combined = [0] * (n + 1)
-    for p, res in zip(primes, residues):
-        if mod == 1:
-            combined = list(res)
-            mod = p
-            continue
-        inv = pow(mod % p, -1, p)
-        for i in range(n + 1):
-            t = (res[i] - combined[i]) % p * inv % p
-            combined[i] = combined[i] + mod * t
-        mod *= p
-    half = mod // 2
-    return tuple(c - mod if c > half else c for c in combined)
+    return _crt_lift(primes, [_charpoly_mod(rows, p) for p in primes])
+
+
+def cayley_charpoly(moduli, connection, n: int) -> IntPoly:
+    """char(A) of an n-vertex graph made of copies of Cay(<S>, S).
+
+    The group is Z_(m_1) x ... x Z_(m_r) for the given moduli, and S (the
+    `connection`) is a symmetric, zero-free list of distinct coordinate
+    tuples.
+    With e = lcm(m_j), a prime q = 1 (mod e) and w a primitive e-th root
+    of unity mod q, the characters x: a -> w^(sum_j (e/m_j) a_j x_j)
+    diagonalise A over F_q with eigenvalues chi(S) = sum_(s in S) chi(s).
+    Characters that agree on S agree on <S>, so the distinct exponent
+    tuples on S are the |<S>| characters of <S>, each an eigenvalue of
+    every one of the n/|<S>| components.  Characters with the same
+    multiset of exponents share chi(S); each multiset contributes
+    (x - chi(S))^m, and the residues are folded by CRT under the bound
+    of `charpoly` with ||A||_F^2 = n |S|.  O(n |S|) work for the
+    characters, no matrix.
+    """
+    e = 1
+    for m in moduli:
+        e = e * m // gcd(e, m)
+    exps = [(0,) * len(connection)]
+    for j, m in enumerate(moduli):
+        step = [e // m * s[j] for s in connection]
+        # tuple([...]) rather than tuple(genexpr): no resizing, less heap
+        exps = [tuple([(a + t * b) % e for a, b in zip(row, step)])
+                for row in exps for t in range(m)]
+    distinct = set(exps)
+    if n % len(distinct):
+        raise InconsistencyError(
+            f"{n} vertices are not copies of a group of order {len(distinct)}")
+    groups = Counter(tuple(sorted(x)) for x in distinct)
+    copies = n // len(distinct)
+    primes = _primes_with_product_above(
+        _coefficient_bound(n * len(connection), n), e)
+    residues = []
+    for q in primes:
+        powers = [1]
+        w = _root_of_unity(e, q)
+        for _ in range(e - 1):
+            powers.append(powers[-1] * w % q)
+        res = [1]
+        for multiset, count in groups.items():
+            m = count * copies
+            neg = -sum(powers[a] for a in multiset) % q
+            factor = [comb(m, i) * pow(neg, m - i, q) % q for i in range(m + 1)]
+            out = [0] * (len(res) + m)
+            for i, a in enumerate(res):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            res = [c % q for c in out]
+        residues.append(res)
+    return _crt_lift(primes, residues)
+
+
+def _root_of_unity(e: int, q: int) -> int:
+    """A primitive e-th root of unity modulo a prime q = 1 (mod e)."""
+    prime_divisors = [r for r in range(2, e + 1) if e % r == 0 and _is_prime(r)]
+    a = 2
+    while True:
+        w = pow(a, (q - 1) // e, q)
+        if all(pow(w, e // r, q) != 1 for r in prime_divisors):
+            return w
+        a += 1
 
 
 def charpoly_reference(mat) -> IntPoly:
@@ -323,8 +409,8 @@ def charpoly_reference(mat) -> IntPoly:
                      for j in range(n)] for i in range(n)]
         else:
             work = [row[:] for row in rows]
-        tr = sum(work[i][i] for i in range(n))
-        assert tr % k == 0
-        c = -tr // k
+        c, rem = divmod(-sum(work[i][i] for i in range(n)), k)
+        if rem:
+            raise InconsistencyError(f"trace not divisible by {k}")
         coeffs[n - k] = c
     return tuple(coeffs)

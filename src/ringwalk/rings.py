@@ -416,6 +416,11 @@ class ProductRing:
             self.order *= f.order
         self.residues = tuple(f.residue_size for f in self.factors)
         self.ideal_sizes = tuple(f.ideal_size for f in self.factors)
+        # (R, +) is the product of the Z_m over these: one coordinate mod
+        # p^k for Z_(p^k), one mod p per coefficient of a tuple element
+        self.additive_moduli = tuple(
+            m for f in self.factors
+            for m in ((f.order,) if f.kind == "Z" else (f.p,) * len(f.zero)))
         # CRT integer labels need pairwise coprime Z_{p^k} factors
         primes = [f.p for f in self.factors]
         self.crt_display = (all(f.kind == "Z" for f in self.factors)
@@ -461,6 +466,13 @@ class ProductRing:
         if self._units is None:
             self._units = tuple(e for e in self.elements() if e.is_unit())
         return self._units
+
+    def additive_coordinates(self, elt: RingElement) -> tuple:
+        """elt as a tuple in the coordinates of `additive_moduli`."""
+        out = []
+        for f, c in zip(self.factors, elt.comps):
+            out.extend((c,) if f.kind == "Z" else c)
+        return tuple(out)
 
     def to_integer(self, elt: RingElement) -> int:
         """CRT integer label; defined when factors are coprime Z_{p^k}."""

@@ -15,8 +15,10 @@ Scaling U by D = lcm(degrees) makes the evolution integer-valued, so long
 products are exact integer arithmetic; periodicity certificates and the
 perfect-state-transfer search run on that scaled form.  The spectral
 classifier factors the characteristic polynomial of A over the integers
-and recognises every eigenvalue mu = lambda/k that is twice-a-cosine of a
-rational angle: those are the only spectra a periodic walk can have.
+(computed from the additive characters when the vertices are elements of
+one ring, by dense reduction otherwise) and recognises every eigenvalue
+mu = lambda/k that is twice-a-cosine of a rational angle: those are the
+only spectra a periodic walk can have.
 
 Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
 filled lazily, holds the arc space, the classifier's `SpectralReport`
@@ -38,6 +40,7 @@ from . import intpoly
 from .errors import InconsistencyError, SizeCapExceeded
 from .graphs import Graph
 from .intpoly import two_cos_minimal_poly
+from .rings import RingElement
 from .scalars import Surd, exact_str, sort_key
 
 TAU_CAP = 100_000
@@ -420,7 +423,7 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
     k = g.regularity
     if not k:
         raise ValueError("the graph has no edges")
-    cp = intpoly.charpoly(g.adjacency_matrix())
+    cp = _charpoly(g)
     lines = []
     residual = cp
     zeros = 0
@@ -444,13 +447,21 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
             order = _ALLOWED_RATIONAL.get(mu)
             lines.append(SpectralLine(mu, mult, 1, order is not None, order))
     if intpoly.degree(residual) >= 2:
+        # x^2 - t x + s divides the residual only if s divides its constant
+        # term (which only shrinks) and Q(1), Q(-1) divide R(1), R(-1)
         c0 = abs(residual[0])
+        divisors = [s for s in range(-k * k, k * k + 1) if s and not c0 % abs(s)]
+        at_one, at_minus_one = (intpoly.evaluate(residual, 1),
+                                intpoly.evaluate(residual, -1))
         for t in range(2 * k, -2 * k - 1, -1):
-            for s in range(-k * k, k * k + 1):
-                if s == 0 or c0 % abs(s):
+            for s in divisors:
+                if c0 % abs(s):
                     continue
                 disc = t * t - 4 * s
                 if disc <= 0 or _is_square(disc):
+                    continue
+                # a non-square discriminant leaves Q(+-1) nonzero
+                if at_one % (1 - t + s) or at_minus_one % (1 + t + s):
                     continue
                 mult = 0
                 while True:
@@ -467,6 +478,8 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
                         lines.append(SpectralLine(mu, mult, 2,
                                                   order is not None, order))
                     c0 = abs(residual[0]) if residual and residual[0] else 1
+                    at_one, at_minus_one = (intpoly.evaluate(residual, 1),
+                                            intpoly.evaluate(residual, -1))
                     if intpoly.degree(residual) < 2:
                         break
             if intpoly.degree(residual) < 2:
@@ -498,6 +511,36 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
     lines.sort(key=lambda l: sort_key(l.mu) if l.mu is not None
                else (float("inf"), str(l.lam_poly)))
     return SpectralReport(g.n, k, cp, tuple(lines), unfactored)
+
+
+def _charpoly(g: Graph) -> tuple:
+    """char(A): from the additive characters when the vertices are elements
+    of one ring, by dense reduction otherwise.
+
+    The character route trusts nothing it reads.  S is taken from vertex
+    0's neighbourhood; the labels must be distinct, every degree |S|, S
+    symmetric and every edge's label difference in S.  Then each vertex a
+    is adjacent exactly to a + S, so the graph is Cay(R, S) on a union of
+    cosets of <S>.  A failed check raises InconsistencyError.
+    """
+    ring = getattr(g.labels[0], "ring", None)
+    if ring is None or not all(isinstance(l, RingElement) and l.ring == ring
+                               for l in g.labels):
+        return intpoly.charpoly(g.adjacency_matrix())
+    moduli = ring.additive_moduli
+    coords = [ring.additive_coordinates(l) for l in g.labels]
+
+    def diff(u, v):
+        return tuple((b - a) % m for a, b, m in zip(coords[u], coords[v], moduli))
+
+    conn = {diff(0, w) for w in g.neighbors[0]}
+    if (len(set(coords)) != g.n or any(d != len(conn) for d in g.degrees)
+            or any(tuple(-a % m for a, m in zip(s, moduli)) not in conn
+                   for s in conn)
+            or any(diff(u, v) not in conn for u, v in g.edges)):
+        raise InconsistencyError(
+            f"{g!r} is not the Cayley graph its ring labels describe")
+    return intpoly.cayley_charpoly(moduli, sorted(conn), g.n)
 
 
 def period(g: Graph, bound_cap: int | None = None):

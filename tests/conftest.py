@@ -31,13 +31,22 @@ def search_horizons(monkeypatch):
 
 @pytest.fixture
 def charpoly_sizes(monkeypatch):
-    """Matrix size of every intpoly.charpoly call in a test."""
+    """Size of every characteristic polynomial computed in a test.
+
+    Counts both routes: the matrix size of each intpoly.charpoly call and
+    the vertex count of each intpoly.cayley_charpoly call.
+    """
     sizes = []
-    real = intpoly.charpoly
+    dense, cayley = intpoly.charpoly, intpoly.cayley_charpoly
 
-    def counted(mat):
+    def counted_dense(mat):
         sizes.append(len(mat))
-        return real(mat)
+        return dense(mat)
 
-    monkeypatch.setattr(intpoly, "charpoly", counted)
+    def counted_cayley(moduli, connection, n):
+        sizes.append(n)
+        return cayley(moduli, connection, n)
+
+    monkeypatch.setattr(intpoly, "charpoly", counted_dense)
+    monkeypatch.setattr(intpoly, "cayley_charpoly", counted_cayley)
     return sizes

@@ -1,12 +1,14 @@
 """Integer polynomial helpers and characteristic polynomials."""
 
+import itertools
 import math
 import random
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ringwalk import intpoly, verify
+from ringwalk import errors, intpoly, verify
 from ringwalk.graphs import quadratic_unitary_cayley_graph
 from ringwalk.rings import make_ring
 
@@ -164,3 +166,45 @@ def test_frobenius_bound_folds_few_primes(monkeypatch):
     computed = intpoly.charpoly(g.adjacency_matrix())
     assert len(passes) <= 6
     assert computed == verify.predicted_quadratic_spectrum(ring).charpoly()
+
+
+@st.composite
+def _cayley_graphs(draw):
+    """Random moduli (1-3 of them, 2..9) and a symmetric zero-free S."""
+    moduli = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)
+                        .filter(lambda ms: math.prod(ms) <= 40)))
+    group = list(itertools.product(*(range(m) for m in moduli)))
+    picked = draw(st.sets(st.sampled_from(group[1:])))
+    neg = lambda a: tuple(-x % m for x, m in zip(a, moduli))
+    return moduli, group, sorted(picked | {neg(a) for a in picked})
+
+
+@given(_cayley_graphs())
+@settings(max_examples=60, deadline=None)
+def test_cayley_charpoly_matches_dense_route(case):
+    moduli, group, conn = case
+    members = set(conn)
+    adj = [[int(tuple((b - a) % m for a, b, m in zip(u, v, moduli)) in members)
+            for v in group] for u in group]
+    assert (intpoly.cayley_charpoly(moduli, conn, len(group))
+            == intpoly.charpoly(adj))
+
+
+def test_cayley_charpoly_counts_components():
+    # S = {2, 6} in Z8 generates {0, 2, 4, 6}: C4 has charpoly x^4 - 4x^2,
+    # and the 8-vertex graph is two copies of it
+    c4 = (0, 0, -4, 0, 1)
+    assert intpoly.cayley_charpoly((8,), [(2,), (6,)], 4) == c4
+    assert intpoly.cayley_charpoly((8,), [(2,), (6,)], 8) == intpoly.mul(c4, c4)
+    with pytest.raises(errors.InconsistencyError):
+        intpoly.cayley_charpoly((8,), [(2,), (6,)], 6)
+
+
+def test_prime_pools_per_modulus():
+    # e = 1 keeps the odd primes below 2^62, largest first
+    top = (1 << 62) - 1
+    odd = [q for q in range(top, top - 400, -2) if sympy.isprime(q)][:3]
+    assert intpoly._primes_with_product_above(top ** 2, 1) == odd
+    primes = intpoly._primes_with_product_above(1 << 300, 12)
+    assert primes == sorted(primes, reverse=True) and primes[0] < 1 << 62
+    assert all(q % 24 == 1 and sympy.isprime(q) for q in primes)

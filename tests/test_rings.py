@@ -159,6 +159,21 @@ def test_make_ring_cap_bounds_the_product():
     assert make_ring("GF(128)").order == 128  # no cap without one
 
 
+@pytest.mark.parametrize("spec, moduli", [
+    ("Z12", (3, 4)), ("GF(8) x Z5", (2, 2, 2, 5)),
+    ("Zp[2,3] x G(3)", (3, 3, 2, 2, 2)), ("Z2 x Z2", (2, 2))])
+def test_additive_coordinates_are_a_group_isomorphism(spec, moduli):
+    ring = make_ring(spec)
+    assert ring.additive_moduli == moduli
+    coords = {x: ring.additive_coordinates(x) for x in ring.elements()}
+    assert len(set(coords.values())) == ring.order
+    assert all(0 <= c < m for v in coords.values() for c, m in zip(v, moduli))
+    for x in ring.elements()[::3]:
+        for y in ring.elements()[::2]:
+            assert coords[x + y] == tuple(
+                (a + b) % m for a, b, m in zip(coords[x], coords[y], moduli))
+
+
 def test_galois_field_is_a_field():
     gf = make_ring("GF(8)")
     for x in gf.elements():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringwalk import errors, walks
-from ringwalk.graphs import Graph, quadratic_unitary_cayley_graph, unitary_cayley_graph
+from ringwalk import errors, intpoly, verify, walks
+from ringwalk.graphs import (Graph, quadratic_unitary_cayley_graph, tensor_product,
+                             unitary_cayley_graph)
 from ringwalk.rings import enumerate_rings, make_ring
 
 
@@ -170,7 +171,7 @@ def test_decision_checks_survive_optimize_flag():
     """Each former decision-path assert raises InconsistencyError, -O or not."""
     code = (
         "from fractions import Fraction\n"
-        "from ringwalk import cli, errors, graphs, intpoly, verify\n"
+        "from ringwalk import cli, errors, graphs, intpoly, verify, walks\n"
         "from ringwalk.scalars import Surd\n"
         "def raises(f):\n"
         "    try:\n"
@@ -190,8 +191,22 @@ def test_decision_checks_survive_optimize_flag():
         "    raises(lambda: graphs.is_isomorphic(c5, c5)),\n"
         "    raises(lambda: graphs.automorphism_group(c5))]\n"
         "graphs._match = real_match\n"
-        "intpoly.charpoly = lambda mat: (0,) * len(mat) + (2,)\n"
-        "ok = all(assert_free) and cli.main(['walk', 'Z4']) == 2\n"
+        "real_divmod, real_cyclotomic = intpoly.divmod_monic, intpoly.cyclotomic\n"
+        "intpoly.divmod_monic = lambda p, g: ((), (1,))\n"
+        "assert_free.append(raises(lambda: intpoly.cyclotomic(97)))\n"
+        "intpoly.divmod_monic = real_divmod\n"
+        "intpoly.cyclotomic = lambda n: (1, 2, 1, 1, 1)\n"
+        "assert_free.append(raises(lambda: intpoly.two_cos_minimal_poly(97)))\n"
+        "intpoly.cyclotomic = real_cyclotomic\n"
+        "intpoly.divmod = lambda a, b: (0, 1)\n"
+        "assert_free.append(raises(lambda: intpoly.charpoly_reference([[1]])))\n"
+        "del intpoly.divmod\n"
+        "bad = lambda n: (0,) * n + (2,)\n"
+        "intpoly.cayley_charpoly = lambda moduli, connection, n: bad(n)\n"
+        "walk_z4 = cli.main(['walk', 'Z4'])\n"
+        "intpoly.charpoly = lambda mat: bad(len(mat))\n"
+        "cycle = raises(lambda: walks.classify_spectrum(graphs.Graph.cycle(4)))\n"
+        "ok = all(assert_free) and walk_z4 == 2 and cycle\n"
         "raise SystemExit(0 if ok else 1)\n")
     src = str(Path(walks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -200,6 +215,57 @@ def test_decision_checks_survive_optimize_flag():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (flags, done.stderr)
         assert "internal inconsistency" in done.stderr
+
+
+def _refuse(*args):
+    raise AssertionError("this charpoly route must not run here")
+
+
+def test_character_route_matches_dense_on_catalog(monkeypatch):
+    """Every graph and zero component to order 36, both families."""
+    dense = intpoly.charpoly
+    monkeypatch.setattr(intpoly, "charpoly", _refuse)
+    for ring in enumerate_rings(36):
+        for build in (unitary_cayley_graph, quadratic_unitary_cayley_graph):
+            g = build(ring)
+            graphs = [g]
+            if not g.is_connected():
+                zero = next(c for c in g.connected_components() if 0 in c)
+                graphs.append(g.induced_subgraph(zero))
+            for h in graphs:
+                assert walks.classify_spectrum(h).charpoly == dense(
+                    h.adjacency_matrix()), (ring.token, build.__name__, h.n)
+
+
+def test_graphs_without_ring_labels_take_the_dense_route(monkeypatch, charpoly_sizes):
+    monkeypatch.setattr(intpoly, "cayley_charpoly", _refuse)
+    k3 = unitary_cayley_graph(make_ring("Z3"))
+    for g in (_petersen(), Graph.cycle(7), tensor_product(k3, k3)):
+        walks.classify_spectrum(g)
+    assert charpoly_sizes == [10, 7, 9]
+
+
+def test_character_route_rejects_mislabelled_graphs():
+    g = unitary_cayley_graph(make_ring("Z12"))  # S = {1, 5, 7, 11}
+    # vertex 1 labelled 2 breaks the symmetry of S; swapping 2 and 3 keeps
+    # S and every degree but gives edge 1-2 the label difference 2
+    for i, j in ((1, 2), (2, 3)):
+        labels = list(g.labels)
+        labels[i], labels[j] = labels[j], labels[i]
+        with pytest.raises(errors.InconsistencyError):
+            walks.classify_spectrum(Graph(g.n, g.edges, labels=labels))
+    repeated = [g.labels[0]] + list(g.labels[:-1])
+    with pytest.raises(errors.InconsistencyError):
+        walks.classify_spectrum(Graph(g.n, g.edges, labels=repeated))
+
+
+def test_character_route_meets_closed_form_beyond_dense_reach():
+    ring = make_ring("Z13 x Z19")  # 247 vertices
+    for build, predict in (
+            (unitary_cayley_graph, verify.predicted_unitary_spectrum),
+            (quadratic_unitary_cayley_graph, verify.predicted_quadratic_spectrum)):
+        assert (walks.classify_spectrum(build(ring)).charpoly
+                == predict(ring).charpoly())
 
 
 def test_nonperiodic_graphs():
