@@ -13,8 +13,7 @@ class InconsistencyError(Exception):
     """An internal cross-check failed.
 
     Raised when two independent routes disagree on a verdict, when a
-    graph's carried translation action is not an automorphism group, or
-    when a graph labelled by ring elements is not the Cayley graph its
-    labels describe.  Each is a bug in ringwalk, never a property of a ring
-    spec.
+    graph is not the Cayley graph its carried coordinates describe, or
+    when a search or a formula returns an impossible result.  Each is a
+    bug in ringwalk, never a property of a ring spec.
     """

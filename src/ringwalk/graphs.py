@@ -5,11 +5,13 @@ adjacency diagonal and 1 to the degree; the looped complete graph is what
 tensor identities over odd local rings need).  Vertices are 0..n-1 with
 optional hashable labels (ring elements, pairs, ...).
 
-A graph may carry a translation action: vertex permutations, recorded by
-the builders that know them (Cayley graphs, cycles, complete graphs,
-tensor products, induced subgraphs), that generate a group of
-automorphisms.  The action is verified the first time it is used, and
-`vertex_transitive` is derived from it, never claimed by a caller.
+A graph may carry a Cayley structure `(moduli, coords)`: each vertex's
+coordinates in the abelian group Z_(m_1) x ... x Z_(m_r), recorded by the
+builders that know them (Cayley graphs, cycles, complete graphs, tensor
+products, induced subgraphs that are unions of components).  The
+structure is verified once, on first use of `Graph.connection`, and both
+`vertex_transitive` and the character-sum charpoly are derived from that
+one check, never claimed by a caller.
 
 Isomorphism and automorphism enumeration are exact: joint colour
 refinement for pruning, then backtracking with full adjacency checks on
@@ -17,6 +19,8 @@ the result.  No canonical-labelling dependency; sizes are capped.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import InconsistencyError, SizeCapExceeded
 from .rings import ConnectionSet, ProductRing, quadratic_connection, units
@@ -35,14 +39,15 @@ __all__ = [
 class Graph:
     """An undirected graph on 0..n-1, loops allowed when stated.
 
-    `translations` are vertex permutations (tuples t with t[v] the image of
-    v) that the builder knows to be automorphisms; they are checked lazily.
-    `walk_analysis` belongs to ringwalk.walks, which fills it on first use
-    with what its routes have computed for this graph.
+    `cayley` is an optional `(moduli, coords)` pair of a tuple of moduli
+    and, for each vertex v, its coordinate tuple coords[v]; `connection`
+    checks it lazily.  `walk_analysis` belongs to ringwalk.walks, which
+    fills it on first use with what its routes have computed for this
+    graph.
     """
 
     def __init__(self, n: int, edges, labels=None, allow_loops: bool = False,
-                 name: str = "", translations=()):
+                 name: str = "", cayley=None):
         self.n = n
         seen = set()
         for u, v in edges:
@@ -57,8 +62,7 @@ class Graph:
         if len(self.labels) != n:
             raise ValueError("label count must match vertex count")
         self.name = name
-        self.translations = tuple(tuple(t) for t in translations)
-        self._transitive = None
+        self.cayley = cayley
         nbrs = [set() for _ in range(n)]
         for u, v in self.edges:
             nbrs[u].add(v)
@@ -73,21 +77,21 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)],
-                   name=f"K{n}", translations=_rotation(n))
+                   name=f"K{n}", cayley=_cyclic(n))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
         return cls(n, [(i, (i + 1) % n) for i in range(n)],
-                   name=f"C{n}", translations=_rotation(n))
+                   name=f"C{n}", cayley=_cyclic(n))
 
     @classmethod
     def complete_pseudograph(cls, n: int) -> "Graph":
         """K_n plus a loop at every vertex (n-regular, all-ones adjacency)."""
         edges = [(u, v) for u in range(n) for v in range(u, n)]
         return cls(n, edges, allow_loops=True, name=f"K°{n}",
-                   translations=_rotation(n))
+                   cayley=_cyclic(n))
 
     @classmethod
     def from_adjacency(cls, mat, labels=None, **kw) -> "Graph":
@@ -128,37 +132,50 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._nbr_sets[u]
 
+    @functools.cached_property
+    def connection(self):
+        """The connection set S of the carried Cayley structure, or None.
+
+        Checked once, on first use, in O(|E|): S is read off vertex 0 as the
+        coordinate differences to its neighbours, and the coordinates must be
+        distinct and in range, every degree |S|, S symmetric and every
+        edge's difference in S.  Then each vertex a is adjacent exactly to
+        a + S, so the graph is Cay(<S>, S) on a union of cosets of <S>.  A
+        failed check raises InconsistencyError.  S comes back as a sorted
+        tuple of coordinate tuples; a graph without a structure gives None.
+        """
+        if self.cayley is None or not self.n:
+            return None
+        moduli, coords = self.cayley
+
+        def diff(u, v):
+            return tuple([(b - a) % m
+                          for a, b, m in zip(coords[u], coords[v], moduli)])
+
+        ok = len(coords) == self.n and len(set(coords)) == self.n and all(
+            len(c) == len(moduli)
+            and all(0 <= a < m for a, m in zip(c, moduli)) for c in coords)
+        if ok:
+            conn = {diff(0, w) for w in self.neighbors[0]}
+            ok = (all(d == len(conn) for d in self.degrees)
+                  and all(tuple([-a % m for a, m in zip(s, moduli)]) in conn
+                          for s in conn)
+                  and all(diff(u, v) in conn for u, v in self.edges))
+        if not ok:
+            raise InconsistencyError(
+                f"{self!r} is not the Cayley graph its coordinates describe")
+        return tuple(sorted(conn))
+
     @property
     def vertex_transitive(self) -> bool:
-        """True iff the carried translations generate a transitive group.
+        """True iff the graph is connected and its Cayley structure holds.
 
-        Checked once, on first use: each translation must be an
-        automorphism (O(|E|) each, raising InconsistencyError if not), and
-        a search from vertex 0 along the translations must reach every
-        vertex.  False means "not known": a graph without a carried action
-        may still be vertex-transitive.
+        A connected graph that passes the `connection` check is one coset of
+        <S>, and the translations by <S> act transitively on it.  False
+        means "not known": a graph without a carried structure may still be
+        vertex-transitive.
         """
-        if self._transitive is None:
-            self._transitive = self._verify_translations()
-        return self._transitive
-
-    def _verify_translations(self) -> bool:
-        for i, t in enumerate(self.translations):
-            if sorted(t) != list(range(self.n)) or not all(
-                    self.adjacent(t[u], t[v]) for u, v in self.edges):
-                raise InconsistencyError(
-                    f"carried translation {i} of {self!r} is not an automorphism")
-        if not self.translations:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for t in self.translations:
-                if t[u] not in seen:
-                    seen.add(t[u])
-                    stack.append(t[u])
-        return len(seen) == self.n
+        return self.connection is not None and self.is_connected()
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1 if self.n else True
@@ -184,28 +201,29 @@ class Graph:
     def induced_subgraph(self, vertices) -> "Graph":
         """The subgraph on `vertices`, relabelled 0..m-1 in sorted order.
 
-        Each translation that maps the vertex set onto itself restricts to
-        it; the others are dropped.  On a Cayley graph Cay(R, S) every
-        translation by an element of S fixes each coset of <S>, so a
-        connected component keeps the whole generating set.
+        The Cayley structure is kept when no vertex loses a neighbour, that
+        is on a union of components, and dropped otherwise.
         """
         vs = sorted(vertices)
         pos = {v: i for i, v in enumerate(vs)}
         edges = [(pos[u], pos[v]) for u, v in self.edges
                  if u in pos and v in pos]
-        translations = [tuple(pos[t[v]] for v in vs) for t in self.translations
-                        if all(t[v] in pos for v in vs)]
+        cayley = None
+        if self.cayley is not None and all(
+                w in pos for v in vs for w in self.neighbors[v]):
+            moduli, coords = self.cayley
+            cayley = (moduli, [coords[v] for v in vs])
         return Graph(len(vs), edges, labels=[self.labels[v] for v in vs],
-                     allow_loops=self.allow_loops, translations=translations)
+                     allow_loops=self.allow_loops, cayley=cayley)
 
     def __repr__(self):
         tag = self.name or f"{self.n} vertices"
         return f"Graph({tag}, {len(self.edges)} edges)"
 
 
-def _rotation(n: int) -> tuple:
-    """The single translation v -> v+1 (mod n), as a generating set."""
-    return (tuple((v + 1) % n for v in range(n)),)
+def _cyclic(n: int) -> tuple:
+    """Z_n coordinates for vertices 0..n-1."""
+    return (n,), [(v,) for v in range(n)]
 
 
 # -- ring graphs -----------------------------------------------------------
@@ -213,32 +231,27 @@ def _rotation(n: int) -> tuple:
 def cayley_graph(ring: ProductRing, connection: ConnectionSet) -> Graph:
     """The Cayley graph of (R, +) with respect to a connection set.
 
-    The graph carries the translations x -> x + s for a greedy subset of
-    the connection set that generates the same subgroup <S>: an element is
-    kept only when it lies outside the subgroup generated so far, which
-    at least doubles that subgroup, so at most log2 |R| are kept.
+    Edges are built by adding coordinates in `ring.additive_moduli`, one
+    of s and -s at a time since both give the same edges, and the graph
+    carries those coordinates as its Cayley structure.
     """
     if connection.ring != ring:
         raise ValueError("connection set belongs to a different ring")
     elts = ring.elements()
-    index = {e.comps: i for i, e in enumerate(elts)}
-    zero = index[ring.zero().comps]
+    moduli = ring.additive_moduli
+    coords = [ring.additive_coordinates(e) for e in elts]
+    index = {c: i for i, c in enumerate(coords)}
     edges = []
-    translations = []
-    subgroup = {zero}
+    done = set()
     for c in connection:
-        shift = [index[(e + c).comps] for e in elts]
-        edges.extend((i, j) for i, j in enumerate(shift) if i < j)
-        if shift[zero] not in subgroup:
-            translations.append(shift)
-            # add the cosets subgroup + m*c until they come back round
-            coset = list(subgroup)
-            while True:
-                coset = [shift[v] for v in coset]
-                if coset[0] in subgroup:
-                    break
-                subgroup.update(coset)
-    return Graph(ring.order, edges, labels=elts, translations=translations,
+        s = ring.additive_coordinates(c)
+        if tuple([-x % m for x, m in zip(s, moduli)]) in done:
+            continue
+        done.add(s)
+        edges.extend(
+            (i, index[tuple([(x + y) % m for x, y, m in zip(a, s, moduli)])])
+            for i, a in enumerate(coords))
+    return Graph(ring.order, edges, labels=elts, cayley=(moduli, coords),
                  name=f"Cay({ring.token}; {connection.label})")
 
 
@@ -255,20 +268,19 @@ def quadratic_unitary_cayley_graph(ring: ProductRing) -> Graph:
 def tensor_product(g: Graph, h: Graph) -> Graph:
     """Tensor (categorical) product; vertex (u, v) at index u*h.n + v.
 
-    Carries (s, id) and (id, t) for the factors' translations s and t.
+    Cay(G, S) x Cay(H, T) is Cay(G x H, S x T), so the product carries the
+    concatenated coordinates when both factors carry a Cayley structure.
     """
     m = h.n
     edges = [(u * m + v, x * m + y) for u in range(g.n) for x in g.neighbors[u]
              for v in range(m) for y in h.neighbors[v]]
     labels = [(gu, hv) for gu in g.labels for hv in h.labels]
-    translations = [
-        tuple(s[u] * m + v for u in range(g.n) for v in range(m))
-        for s in g.translations] + [
-        tuple(u * m + t[v] for u in range(g.n) for v in range(m))
-        for t in h.translations]
+    cayley = None
+    if g.cayley is not None and h.cayley is not None:
+        cayley = (g.cayley[0] + h.cayley[0],
+                  [a + b for a in g.cayley[1] for b in h.cayley[1]])
     return Graph(g.n * m, edges, labels=labels,
-                 allow_loops=any(u == w for u, w in edges),
-                 translations=translations,
+                 allow_loops=any(u == w for u, w in edges), cayley=cayley,
                  name=f"{g.name or 'G'} (x) {h.name or 'H'}")
 
 

@@ -26,7 +26,7 @@ import itertools
 import re
 from math import isqrt
 
-from .errors import SizeCapExceeded
+from .errors import InconsistencyError, SizeCapExceeded
 
 DEFAULT_ORDER_CAP = 36
 
@@ -280,7 +280,8 @@ class GaloisField:
             cand = [(val // p ** i) % p for i in range(n)] + [1]
             if _is_irreducible(cand, p):
                 return cand
-        raise AssertionError("no irreducible polynomial found")
+        raise InconsistencyError(f"no irreducible polynomial of degree {n} "
+                                 f"over Z_{p}")
 
     def elements(self):
         p, n = self.p, self.n

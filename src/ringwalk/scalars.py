@@ -17,7 +17,7 @@ spectra of product rings live in multiquadratic fields.  Division is exact
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
+from math import gcd, prod, sqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -45,13 +45,6 @@ def _factor_squarefree(n: int) -> tuple[int, frozenset[int]]:
     if n > 1:
         primes.add(n)
     return f, frozenset(primes)
-
-
-def _prod(items) -> int:
-    out = 1
-    for x in items:
-        out *= x
-    return out
 
 
 class Surd:
@@ -131,7 +124,7 @@ class Surd:
         for ka, va in self._terms.items():
             for kb, vb in o._terms.items():
                 key = ka ^ kb
-                coeff = va * vb * _prod(ka & kb)
+                coeff = va * vb * prod(ka & kb)
                 terms[key] = terms.get(key, Fraction(0)) + coeff
         return Surd(_terms=terms)
 
@@ -197,7 +190,7 @@ class Surd:
         return bool(self._terms)
 
     def __float__(self):
-        return float(sum(v * sqrt(_prod(k)) for k, v in self._terms.items()))
+        return float(sum(v * sqrt(prod(k)) for k, v in self._terms.items()))
 
     # -- formatting --------------------------------------------------------
 
@@ -205,10 +198,10 @@ class Surd:
         if not self._terms:
             return "0"
         # common denominator, terms ordered: rational part, then radicands
-        keys = sorted(self._terms, key=lambda k: _prod(sorted(k)))
+        keys = sorted(self._terms, key=prod)
         den = 1
         for v in self._terms.values():
-            den = den * v.denominator // _gcd(den, v.denominator)
+            den = den * v.denominator // gcd(den, v.denominator)
         parts = []
         for k in keys:
             c = self._terms[k] * den
@@ -217,7 +210,7 @@ class Surd:
             if k == _RAT:
                 parts.append((c, None))
             else:
-                parts.append((c, _prod(sorted(k))))
+                parts.append((c, prod(k)))
         out = ""
         for i, (c, rad) in enumerate(parts):
             sign = "-" if c < 0 else ("+" if i else "")
@@ -237,12 +230,6 @@ class Surd:
 
     def __repr__(self):
         return f"Surd({self})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def exact_str(value) -> str:

@@ -10,12 +10,13 @@ connection closes up to its full unit group).  Outside those regimes no
 closed form is claimed and the predicates answer "not applicable".
 
 verify_ring runs every applicable prediction against the walk engine's
-ground truth: predicted characteristic polynomial vs the one computed from
-the adjacency matrix, predicted periodicity vs the spectral classifier vs
-the brute-force power oracle, predicted transfer vs the exact search.
-Disconnected graphs are analyzed on the component of the zero element;
-translation by any vertex is a graph isomorphism carrying component to
-component, so that component represents them all, and a transfer can never
+ground truth: predicted characteristic polynomial vs the computed one,
+predicted periodicity vs the spectral classifier vs the brute-force power
+oracle, predicted transfer vs the exact search.  Disconnected graphs are
+analyzed on the component of the zero element; translation by any vertex
+is a graph isomorphism carrying component to component, so that component
+represents them all (the graph's characteristic polynomial is the
+component's raised to the number of components), and a transfer can never
 cross components.  Ring-level transfer positivity therefore means:
 connected and the component search found a pair.
 """
@@ -301,7 +302,8 @@ def local_quadratic_splitting(ring: ProductRing):
     model = tensor_product(base, Graph.complete_pseudograph(m))
     perm = is_isomorphic(g, model)
     if perm is None:
-        raise AssertionError(f"splitting isomorphism not found for {ring.token}")
+        raise InconsistencyError(
+            f"splitting isomorphism not found for {ring.token}")
     return g, model, perm
 
 
@@ -372,7 +374,8 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
         failures.append("graph is not regular")
         k = -1
 
-    report = walks.classify_spectrum(graph)
+    component = _component_of_zero(graph) if not connected else graph
+    report = walks.classify_spectrum(component)
     formula = None
     spectrum_verified = None
     try:
@@ -383,7 +386,12 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
             spectrum_verified = False
             failures.append(
                 f"predicted regularity {spec.regularity} != computed {k}")
-        if spec.charpoly() != report.charpoly:
+        # the components are translates, so char(A) is the component's
+        # raised to their number
+        whole = (1,)
+        for _ in range(graph.n // component.n):
+            whole = intpoly.mul(whole, report.charpoly)
+        if spec.charpoly() != whole:
             spectrum_verified = False
             failures.append("predicted spectrum != computed spectrum")
     except FormulaNotApplicable:
@@ -395,7 +403,6 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
             f"predicted periodic={predicted_periodic}, classifier says "
             f"{classifier_periodic}")
 
-    component = _component_of_zero(graph) if not connected else graph
     brute = walks.bruteforce_period(component, tau_max)
     brute_periodic = brute is not None
     if brute_periodic != classifier_periodic:

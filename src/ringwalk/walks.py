@@ -15,10 +15,10 @@ Scaling U by D = lcm(degrees) makes the evolution integer-valued, so long
 products are exact integer arithmetic; periodicity certificates and the
 perfect-state-transfer search run on that scaled form.  The spectral
 classifier factors the characteristic polynomial of A over the integers
-(computed from the additive characters when the vertices are elements of
-one ring, by dense reduction otherwise) and recognises every eigenvalue
-mu = lambda/k that is twice-a-cosine of a rational angle: those are the
-only spectra a periodic walk can have.
+(computed from the additive characters when the graph carries a verified
+Cayley structure, by dense reduction otherwise) and recognises every
+eigenvalue mu = lambda/k that is twice-a-cosine of a rational angle: those
+are the only spectra a periodic walk can have.
 
 Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
 filled lazily, holds the arc space, the classifier's `SpectralReport`
@@ -40,7 +40,6 @@ from . import intpoly
 from .errors import InconsistencyError, SizeCapExceeded
 from .graphs import Graph
 from .intpoly import two_cos_minimal_poly
-from .rings import RingElement
 from .scalars import Surd, exact_str, sort_key
 
 TAU_CAP = 100_000
@@ -65,7 +64,6 @@ class RationalMatrix:
         return len(self.entries)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        n = self.n
         bt = list(zip(*other.entries))
         rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
                      for row in self.entries)
@@ -92,7 +90,9 @@ class _ArcSpace:
             raise ValueError("the walk needs a loopless graph")
         if g.n < 2 or not g.is_connected():
             raise ValueError("the walk needs a connected graph on >= 2 vertices")
-        self.graph = g
+        self.n = g.n
+        # connected and a verified Cayley structure: vertex-transitive
+        self.transitive = g.connection is not None
         self.arcs = tuple(sorted((u, v) for u, w in g.edges for (u, v) in ((u, w), (w, u))))
         self.arc_index = {a: i for i, a in enumerate(self.arcs)}
         self.inv = tuple(self.arc_index[(t, o)] for o, t in self.arcs)
@@ -110,9 +110,8 @@ class _ArcSpace:
 
     def apply_scaled(self, x):
         """y = scale * U * x for an integer (or Fraction) vector x."""
-        g = self.graph
-        sums = [0] * g.n
-        for v in range(g.n):
+        sums = [0] * self.n
+        for v in range(self.n):
             s = 0
             for a in self.heads_at[v]:
                 s += x[a]
@@ -246,10 +245,10 @@ def bruteforce_period(g: Graph, tau_max: int):
     Confirmation uses the graph's symmetry, never its spectrum, so this
     route stays independent of the classifier.  An automorphism of the
     graph permutes arcs and commutes with U, so if U^tau fixes e_a it fixes
-    the image of e_a too.  When the graph's verified translations act
-    transitively, every arc is the image of an arc leaving vertex 0, and
-    those k columns suffice.  Graphs without a verified transitive action
-    are confirmed on all 2|E| columns.
+    the image of e_a too.  On a connected graph with a verified Cayley
+    structure the translations by <S> act transitively, every arc is the
+    image of an arc leaving vertex 0, and those k columns suffice.  Other
+    graphs are confirmed on all 2|E| columns.
 
     The outcome is memoised on the graph as (horizon searched, least tau or
     None).  A later query is answered from it when it can be: a tau found
@@ -286,7 +285,7 @@ def _search_period(ar: _ArcSpace, tau_max: int):
 
 def _confirmation_arcs(ar: _ArcSpace) -> list:
     """Arcs whose columns certify U^tau = I (see bruteforce_period)."""
-    if ar.graph.vertex_transitive:
+    if ar.transitive:
         return [a for a, o in enumerate(ar.origin) if o == 0]
     return list(range(ar.size))
 
@@ -514,33 +513,13 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
 
 
 def _charpoly(g: Graph) -> tuple:
-    """char(A): from the additive characters when the vertices are elements
-    of one ring, by dense reduction otherwise.
-
-    The character route trusts nothing it reads.  S is taken from vertex
-    0's neighbourhood; the labels must be distinct, every degree |S|, S
-    symmetric and every edge's label difference in S.  Then each vertex a
-    is adjacent exactly to a + S, so the graph is Cay(R, S) on a union of
-    cosets of <S>.  A failed check raises InconsistencyError.
-    """
-    ring = getattr(g.labels[0], "ring", None)
-    if ring is None or not all(isinstance(l, RingElement) and l.ring == ring
-                               for l in g.labels):
+    """char(A): from the additive characters when the graph carries a
+    Cayley structure (verified by `Graph.connection`), by dense reduction
+    otherwise."""
+    conn = g.connection
+    if conn is None:
         return intpoly.charpoly(g.adjacency_matrix())
-    moduli = ring.additive_moduli
-    coords = [ring.additive_coordinates(l) for l in g.labels]
-
-    def diff(u, v):
-        return tuple((b - a) % m for a, b, m in zip(coords[u], coords[v], moduli))
-
-    conn = {diff(0, w) for w in g.neighbors[0]}
-    if (len(set(coords)) != g.n or any(d != len(conn) for d in g.degrees)
-            or any(tuple(-a % m for a, m in zip(s, moduli)) not in conn
-                   for s in conn)
-            or any(diff(u, v) not in conn for u, v in g.edges)):
-        raise InconsistencyError(
-            f"{g!r} is not the Cayley graph its ring labels describe")
-    return intpoly.cayley_charpoly(moduli, sorted(conn), g.n)
+    return intpoly.cayley_charpoly(g.cayley[0], conn, g.n)
 
 
 def period(g: Graph, bound_cap: int | None = None):

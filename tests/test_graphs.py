@@ -20,7 +20,7 @@ from ringwalk.graphs import (
     to_dot,
     unitary_cayley_graph,
 )
-from ringwalk.rings import make_ring, quadratic_connection
+from ringwalk.rings import make_ring, quadratic_connection, units
 
 
 def _to_networkx(g: Graph) -> nx.Graph:
@@ -91,29 +91,46 @@ def test_disconnected_unitary_graph():
     assert all(g.induced_subgraph(c).vertex_transitive for c in comps)
 
 
-def test_cayley_translations_are_few_and_transitive():
-    for spec in ("Z64", "GF(32)", "Z2 x Z2 x Z2 x Z3", "Z5 x Z25"):
+def test_cayley_graphs_are_transitive_iff_connected():
+    for spec in ("Z64", "GF(32)", "Z2 x Z2 x Z2 x Z3", "Z5 x Z25", "Z2 x Z2"):
         ring = make_ring(spec)
-        for g in (unitary_cayley_graph(ring), quadratic_unitary_cayley_graph(ring)):
-            assert 1 <= len(g.translations) <= ring.order.bit_length() - 1
+        for conn in (units(ring), quadratic_connection(ring)):
+            g = cayley_graph(ring, conn)
+            assert g.cayley[0] == ring.additive_moduli
+            assert g.connection == tuple(sorted(
+                ring.additive_coordinates(c) for c in conn))
             assert g.vertex_transitive == g.is_connected()
 
 
-def test_induced_subgraph_keeps_translations_that_preserve_it():
+def test_induced_subgraph_keeps_structure_on_components():
     c6 = Graph.cycle(6)
-    assert c6.induced_subgraph(range(6)).translations == c6.translations
+    assert c6.induced_subgraph(range(6)).cayley == c6.cayley
     path = c6.induced_subgraph(range(3))
-    assert path.translations == () and not path.vertex_transitive
+    assert path.cayley is None and path.connection is None
+    assert not path.vertex_transitive
+    g = unitary_cayley_graph(make_ring("Z2 x Z2 x Z3"))  # two components
+    comps = g.connected_components()
+    assert len(comps) == 2 and not g.vertex_transitive
+    for vs in (comps[0], comps[1], comps[0] + comps[1]):
+        sub = g.induced_subgraph(vs)
+        assert sub.connection == g.connection
+        assert sub.vertex_transitive == sub.is_connected()
 
 
-def test_carried_translation_must_be_an_automorphism():
-    path = Graph(4, [(0, 1), (1, 2), (2, 3)], translations=[(1, 2, 3, 0)])
+def test_carried_structure_must_match_the_edges():
+    c4 = Graph.cycle(4)
+    moduli = c4.cayley[0]
+    # Z4 coordinates on a path: S = {1} is not symmetric
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)], cayley=c4.cayley)
     with pytest.raises(errors.InconsistencyError):
         path.vertex_transitive
-    not_a_permutation = Graph(3, [(0, 1), (1, 2), (0, 2)],
-                              translations=[(1, 1, 2)])
-    with pytest.raises(errors.InconsistencyError):
-        not_a_permutation.vertex_transitive
+    repeated = [(0,), (1,), (1,), (3,)]
+    out_of_range = [(0,), (1,), (2,), (7,)]
+    permuted = [(0,), (2,), (1,), (3,)]
+    for bad in (repeated, out_of_range, permuted):
+        g = Graph(4, c4.edges, cayley=(moduli, bad))
+        with pytest.raises(errors.InconsistencyError):
+            g.connection
 
 
 def test_vertex_labels_are_ring_elements():
@@ -130,7 +147,10 @@ def test_tensor_product_structure():
     k3 = Graph.complete(3)
     t = tensor_product(k3, k2)
     assert is_isomorphic(t, Graph.cycle(6)) is not None
-    assert c4.vertex_transitive and t.vertex_transitive
+    # both carry Z_m x Z_n coordinates; the disconnected one is not known
+    # to be vertex-transitive
+    assert c4.connection == ((1, 1),) and not c4.vertex_transitive
+    assert t.connection == ((1, 1), (2, 1)) and t.vertex_transitive
 
 
 def test_tensor_product_with_looped_factor():

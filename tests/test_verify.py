@@ -218,3 +218,11 @@ def test_verify_ring_searches_once_within_the_oracle_horizon(spec,
     rec = verify.verify_ring(make_ring(spec), "unitary")
     assert rec.ok and rec.period is not None
     assert search_horizons == [120]
+
+
+@pytest.mark.parametrize("spec, sizes", [("Z12", [12]), ("Z2 x Z2", [2])])
+def test_verify_ring_computes_one_charpoly(spec, sizes, charpoly_sizes):
+    """A disconnected ring is classified on its zero component alone."""
+    rec = verify.verify_ring(make_ring(spec), "unitary")
+    assert rec.ok and rec.spectrum_verified
+    assert charpoly_sizes == sizes

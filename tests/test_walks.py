@@ -1,8 +1,10 @@
 """Exact Grover walk simulation, periodicity, and transfer search."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,7 +113,7 @@ def test_reduced_confirmation_matches_all_columns():
 def test_graph_without_action_confirms_on_all_columns():
     cayley = unitary_cayley_graph(make_ring("Z8"))
     bare = Graph.from_adjacency(cayley.adjacency_matrix())
-    assert bare.translations == () and not bare.vertex_transitive
+    assert bare.cayley is None and not bare.vertex_transitive
     ar = walks._arcspace(bare)
     assert walks._confirmation_arcs(ar) == list(range(ar.size))
     assert walks.period(bare) == walks.period(cayley) == 4
@@ -158,6 +160,18 @@ def test_bruteforce_memo_answers_by_horizon(search_horizons):
     assert g.walk_analysis.searched == (10, 4)
 
 
+def test_analysed_graph_is_freed_without_the_cyclic_collector():
+    g = unitary_cayley_graph(make_ring("Z12"))
+    assert walks.period(g) == 12 and g.walk_analysis.arcspace is not None
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_period_shares_one_search_and_one_charpoly(search_horizons,
                                                    charpoly_sizes):
     g = unitary_cayley_graph(make_ring("Z12"))
@@ -168,10 +182,10 @@ def test_period_shares_one_search_and_one_charpoly(search_horizons,
 
 
 def test_decision_checks_survive_optimize_flag():
-    """Each former decision-path assert raises InconsistencyError, -O or not."""
+    """Each decision-path check raises InconsistencyError, -O or not."""
     code = (
         "from fractions import Fraction\n"
-        "from ringwalk import cli, errors, graphs, intpoly, verify, walks\n"
+        "from ringwalk import cli, errors, graphs, intpoly, rings, verify, walks\n"
         "from ringwalk.scalars import Surd\n"
         "def raises(f):\n"
         "    try:\n"
@@ -201,6 +215,16 @@ def test_decision_checks_survive_optimize_flag():
         "intpoly.divmod = lambda a, b: (0, 1)\n"
         "assert_free.append(raises(lambda: intpoly.charpoly_reference([[1]])))\n"
         "del intpoly.divmod\n"
+        "verify.is_isomorphic = lambda g, h: None\n"
+        "z9 = rings.make_ring('Z9')\n"
+        "assert_free.append(raises(lambda: verify.local_quadratic_splitting(z9)))\n"
+        "real_irreducible = rings._is_irreducible\n"
+        "rings._is_irreducible = lambda f, p: False\n"
+        "assert_free.append(raises(lambda: rings.GaloisField(2, 3)))\n"
+        "rings._is_irreducible = real_irreducible\n"
+        "c4 = graphs.Graph.cycle(4)\n"
+        "swapped = graphs.Graph(4, c4.edges, cayley=((4,), [(0,), (2,), (1,), (3,)]))\n"
+        "assert_free.append(raises(lambda: swapped.connection))\n"
         "bad = lambda n: (0,) * n + (2,)\n"
         "intpoly.cayley_charpoly = lambda moduli, connection, n: bad(n)\n"
         "walk_z4 = cli.main(['walk', 'Z4'])\n"
@@ -237,26 +261,40 @@ def test_character_route_matches_dense_on_catalog(monkeypatch):
                     h.adjacency_matrix()), (ring.token, build.__name__, h.n)
 
 
-def test_graphs_without_ring_labels_take_the_dense_route(monkeypatch, charpoly_sizes):
+def test_graphs_without_structure_take_the_dense_route(monkeypatch, charpoly_sizes):
     monkeypatch.setattr(intpoly, "cayley_charpoly", _refuse)
     k3 = unitary_cayley_graph(make_ring("Z3"))
-    for g in (_petersen(), Graph.cycle(7), tensor_product(k3, k3)):
+    bare = [Graph.from_adjacency(g.adjacency_matrix())
+            for g in (Graph.cycle(7), tensor_product(k3, k3))]
+    for g in [_petersen()] + bare:
         walks.classify_spectrum(g)
     assert charpoly_sizes == [10, 7, 9]
 
 
+def test_character_route_matches_dense_on_cycles_and_complete_graphs(monkeypatch):
+    dense = intpoly.charpoly
+    monkeypatch.setattr(intpoly, "charpoly", _refuse)
+    base = ([Graph.cycle(n) for n in range(3, 13)]
+            + [Graph.complete(n) for n in range(2, 10)])
+    small = [g for g in base if g.n <= 6]
+    graphs = base + [tensor_product(g, h) for g in small for h in small]
+    for g in graphs:
+        assert walks._charpoly(g) == dense(g.adjacency_matrix()), g
+
+
 def test_character_route_rejects_mislabelled_graphs():
     g = unitary_cayley_graph(make_ring("Z12"))  # S = {1, 5, 7, 11}
-    # vertex 1 labelled 2 breaks the symmetry of S; swapping 2 and 3 keeps
-    # S and every degree but gives edge 1-2 the label difference 2
+    moduli, coords = g.cayley
+    # vertex 1 given 2's coordinates breaks the symmetry of S; swapping 2
+    # and 3 keeps S and every degree but gives edge 1-2 the difference 2
     for i, j in ((1, 2), (2, 3)):
-        labels = list(g.labels)
-        labels[i], labels[j] = labels[j], labels[i]
+        swapped = list(coords)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
         with pytest.raises(errors.InconsistencyError):
-            walks.classify_spectrum(Graph(g.n, g.edges, labels=labels))
-    repeated = [g.labels[0]] + list(g.labels[:-1])
+            walks.classify_spectrum(Graph(g.n, g.edges, cayley=(moduli, swapped)))
+    repeated = [coords[0]] + list(coords[:-1])
     with pytest.raises(errors.InconsistencyError):
-        walks.classify_spectrum(Graph(g.n, g.edges, labels=repeated))
+        walks.classify_spectrum(Graph(g.n, g.edges, cayley=(moduli, repeated)))
 
 
 def test_character_route_meets_closed_form_beyond_dense_reach():
