@@ -160,7 +160,7 @@ def _walk_report(spec: str, family: str, tau_max, period_bound) -> dict:
     components = g.connected_components()
     reports = []
     for comp in components:
-        sub = g.induced_subgraph(comp)
+        sub = g if len(components) == 1 else g.induced_subgraph(comp)
         labels = [g.labels[v] for v in comp]
         reports.append(_component_report(sub, labels, tau_max, period_bound))
     return {

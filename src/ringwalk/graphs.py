@@ -232,8 +232,9 @@ def cayley_graph(ring: ProductRing, connection: ConnectionSet) -> Graph:
     """The Cayley graph of (R, +) with respect to a connection set.
 
     Edges are built by adding coordinates in `ring.additive_moduli`, one
-    of s and -s at a time since both give the same edges, and the graph
-    carries those coordinates as its Cayley structure.
+    of s and -s at a time since both give the same edges (an s equal to -s
+    reaches each edge from both ends, so only i < j is kept), and the
+    graph carries those coordinates as its Cayley structure.
     """
     if connection.ring != ring:
         raise ValueError("connection set belongs to a different ring")
@@ -245,12 +246,13 @@ def cayley_graph(ring: ProductRing, connection: ConnectionSet) -> Graph:
     done = set()
     for c in connection:
         s = ring.additive_coordinates(c)
-        if tuple([-x % m for x, m in zip(s, moduli)]) in done:
+        neg = tuple([-x % m for x, m in zip(s, moduli)])
+        if neg in done:
             continue
         done.add(s)
-        edges.extend(
-            (i, index[tuple([(x + y) % m for x, y, m in zip(a, s, moduli)])])
-            for i, a in enumerate(coords))
+        pairs = ((i, index[tuple([(x + y) % m for x, y, m in zip(a, s, moduli)])])
+                 for i, a in enumerate(coords))
+        edges.extend([(i, j) for i, j in pairs if i < j] if neg == s else pairs)
     return Graph(ring.order, edges, labels=elts, cayley=(moduli, coords),
                  name=f"Cay({ring.token}; {connection.label})")
 

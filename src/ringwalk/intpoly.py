@@ -159,19 +159,28 @@ def two_cos_minimal_poly(n: int) -> IntPoly:
     return out
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n >= 1 as (p, e) pairs, p ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for p, _ in factorize(n):
+        out -= out // p
     return out
 
 
@@ -384,7 +393,7 @@ def cayley_charpoly(moduli, connection, n: int) -> IntPoly:
 
 def _root_of_unity(e: int, q: int) -> int:
     """A primitive e-th root of unity modulo a prime q = 1 (mod e)."""
-    prime_divisors = [r for r in range(2, e + 1) if e % r == 0 and _is_prime(r)]
+    prime_divisors = [r for r, _ in factorize(e)]
     a = 2
     while True:
         w = pow(a, (q - 1) // e, q)

@@ -1,20 +1,27 @@
 """Finite commutative rings with identity, given as products of local rings.
 
 Every ring here is a product ``R = R_1 x ... x R_s`` of local factors drawn
-from three families:
+from three families, each a quotient (Z/b)[x]/(f) with f monic of degree d:
 
-* ``ResidueRing(p, k)``       -- Z_{p^k}, integers modulo a prime power;
-* ``TruncatedPolynomialRing(p, k)`` -- Z_p[x]/(x^k), k >= 2; for k = 2 this
-  is the nilpotent-extension ring with elements written ``c*a + d*b`` where
-  a = x (a^2 = 0) and b = 1 is the unity;
-* ``GaloisField(p, n)``       -- F_{p^n} with the smallest monic irreducible
-  modulus (coefficients compared from the leading power down).
+* ``ResidueRing(p, k)``       -- Z_{p^k}, integers modulo a prime power
+  (b = p^k, f = x);
+* ``TruncatedPolynomialRing(p, k)`` -- Z_p[x]/(x^k), k >= 2 (b = p,
+  f = x^k); for k = 2 this is the nilpotent-extension ring with elements
+  written ``c*a + d*b`` where a = x (a^2 = 0) and b = 1 is the unity;
+* ``GaloisField(p, n)``       -- F_{p^n} (b = p, f the smallest monic
+  irreducible modulus, coefficients compared from the leading power down).
+
+All three share one implementation and one element format: a tuple of the
+d coefficients mod b, low degree first, so an element of Z_{p^k} is a
+1-tuple.  These coefficients are also the additive coordinates that Cayley
+graphs are built on.
 
 Products are kept in a canonical order (residue field size descending, then
 factor order descending, then token), and a ring spelled ``Z12`` is
 factored into ``Z3 x Z4`` on construction, so equal rings always have equal
-canonical forms.  Elements are tuples of per-factor encodings; rings whose
-factors are Z_{p^k} with distinct p display elements as the CRT integer.
+canonical forms.  Elements are tuples of per-factor coefficient tuples;
+rings whose factors are Z_{p^k} with distinct p display elements as the
+CRT integer.
 
 The spec string grammar:  ``SPEC := FACTOR (" x " FACTOR)*`` with
 ``FACTOR := Z<n> | GF(<prime power>) | G(<prime>) | Zp[<prime>,<k>]``.
@@ -24,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import isqrt
 
 from .errors import InconsistencyError, SizeCapExceeded
+from .intpoly import factorize
 
 DEFAULT_ORDER_CAP = 36
 
@@ -39,55 +46,34 @@ __all__ = [
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    return factorize(n) == [(n, 1)]
 
 
 def _prime_power(n: int) -> tuple[int, int] | None:
-    f = _factorize(n)
+    f = factorize(n)
     return f[0] if len(f) == 1 else None
 
 
-# -- polynomial helpers over Z_p (dense lists, constant first) -------------
+# -- polynomial helpers over Z/b (dense lists, constant first) -------------
 
-def _pmul_mod(a, b, p):
+def _pmul_mod(a, b, m):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] = (out[i + j] + x * y) % m
     return out
 
 
-def _prem_mod(a, mod, p):
-    """Remainder of a modulo the monic polynomial mod, over Z_p."""
+def _prem_mod(a, mod, m):
+    """Remainder of a modulo the monic polynomial mod, over Z/m."""
     a = list(a)
     dm = len(mod) - 1
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
         if c:
             for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % m
     return a[:dm]
 
 
@@ -125,59 +111,71 @@ def _poly_elt_str(coeffs, var: str) -> str:
 
 # -- local factors ---------------------------------------------------------
 
-class ResidueRing:
-    """Z_{p^k}.  Elements are ints in [0, p^k)."""
+class _LocalRing:
+    """(Z/b)[x]/(f) for a monic f of degree d, the body of every local factor.
+
+    Elements are coefficient tuples of length d, low degree first, so
+    (R, +) is (Z_b)^d coordinate by coordinate.  The families differ only
+    in b, f and the size of the maximal ideal, which `is_unit` needs:
+    an element of a field is a unit when it is non-zero, otherwise when
+    its constant term is a unit mod p.
+    """
+
+    def __init__(self, p: int, b: int, f, ideal_size: int):
+        self.p, self.b, self.f = p, b, tuple(f)
+        d = len(self.f) - 1
+        self.order = b ** d
+        self.ideal_size = ideal_size
+        self.residue_size = self.order // ideal_size
+        self.moduli = (b,) * d
+        self.zero = (0,) * d
+        self.one = (1,) + (0,) * (d - 1)
+
+    def elements(self):
+        return (t[::-1] for t in
+                itertools.product(range(self.b), repeat=len(self.moduli)))
+
+    def add(self, x, y):
+        return tuple([(a + c) % self.b for a, c in zip(x, y)])
+
+    def neg(self, x):
+        return tuple([-a % self.b for a in x])
+
+    def mul(self, x, y):
+        return tuple(_prem_mod(_pmul_mod(x, y, self.b), self.f, self.b))
+
+    def is_unit(self, x) -> bool:
+        return any(x) if self.ideal_size == 1 else x[0] % self.p != 0
+
+    def sort_key(self, x):
+        return sum(c * self.b ** i for i, c in enumerate(x))
+
+    def residue_field(self):
+        return self if self.ideal_size == 1 else ResidueRing(self.p, 1)
+
+    def __repr__(self):
+        return self.token
+
+
+class ResidueRing(_LocalRing):
+    """Z_{p^k}: b = p^k, f = x.  Elements are 1-tuples (c,), 0 <= c < p^k."""
 
     kind = "Z"
 
     def __init__(self, p: int, k: int):
         if not _is_prime(p) or k < 1:
             raise ValueError(f"Z_(p^k) needs a prime p and k >= 1, got {p}^{k}")
-        self.p, self.k = p, k
-        self.order = p ** k
-        self.residue_size = p
-        self.ideal_size = p ** (k - 1)
+        self.k = k
+        super().__init__(p, p ** k, (0, 1), p ** (k - 1))
         self.token = f"Z{self.order}"
         self.signature = ("Z", p, k)
 
-    def elements(self):
-        return range(self.order)
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def add(self, x, y):
-        return (x + y) % self.order
-
-    def neg(self, x):
-        return -x % self.order
-
-    def mul(self, x, y):
-        return x * y % self.order
-
-    def is_unit(self, x) -> bool:
-        return x % self.p != 0
-
     def elt_str(self, x) -> str:
-        return str(x)
-
-    def sort_key(self, x):
-        return x
-
-    def residue_field(self):
-        return ResidueRing(self.p, 1)
-
-    def __repr__(self):
-        return self.token
+        return str(x[0])
 
 
-class TruncatedPolynomialRing:
-    """Z_p[x]/(x^k) for k >= 2.  Elements are coefficient tuples (low first).
+class TruncatedPolynomialRing(_LocalRing):
+    """Z_p[x]/(x^k) for k >= 2: b = p, f = x^k.
 
     The k = 2 case prints elements in the a/b presentation: a = x is the
     nilpotent generator, b = 1 the unity, so the units of G(2) are b, a+b.
@@ -188,44 +186,10 @@ class TruncatedPolynomialRing:
     def __init__(self, p: int, k: int):
         if not _is_prime(p) or k < 2:
             raise ValueError(f"Z_p[x]/(x^k) needs a prime p and k >= 2, got {p},{k}")
-        self.p, self.k = p, k
-        self.order = p ** k
-        self.residue_size = p
-        self.ideal_size = p ** (k - 1)
+        self.k = k
+        super().__init__(p, p, (0,) * k + (1,), p ** (k - 1))
         self.token = f"G({p})" if k == 2 else f"Zp[{p},{k}]"
         self.signature = ("P", p, k)
-
-    def elements(self):
-        p, k = self.p, self.k
-        for val in range(self.order):
-            yield tuple((val // p ** i) % p for i in range(k))
-
-    @property
-    def zero(self):
-        return (0,) * self.k
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    def add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple(-a % self.p for a in x)
-
-    def mul(self, x, y):
-        out = [0] * self.k
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if i + j >= self.k:
-                        break
-                    out[i + j] = (out[i + j] + a * b) % self.p
-        return tuple(out)
-
-    def is_unit(self, x) -> bool:
-        return x[0] != 0
 
     def elt_str(self, x) -> str:
         if self.k == 2:
@@ -240,28 +204,15 @@ class TruncatedPolynomialRing:
             return "+".join(parts)
         return _poly_elt_str(x, "x")
 
-    def sort_key(self, x):
-        return sum(c * self.p ** i for i, c in enumerate(x))
 
-    def residue_field(self):
-        return ResidueRing(self.p, 1)
-
-    def __repr__(self):
-        return self.token
-
-
-class GaloisField:
-    """F_{p^n}, n >= 2.  Elements are coefficient tuples in t (low first)."""
+class GaloisField(_LocalRing):
+    """F_{p^n}, n >= 2: b = p, f the irreducible modulus, in t."""
 
     kind = "GF"
 
     def __init__(self, p: int, n: int, modulus=None):
         if not _is_prime(p) or n < 2:
             raise ValueError(f"GF needs a prime p and n >= 2, got {p}^{n}")
-        self.p, self.n = p, n
-        self.order = p ** n
-        self.residue_size = self.order
-        self.ideal_size = 1
         if modulus is None:
             modulus = self._smallest_irreducible(p, n)
         else:
@@ -270,7 +221,9 @@ class GaloisField:
                 raise ValueError("modulus must be monic of degree n")
             if not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
+        self.n = n
         self.modulus = tuple(modulus)
+        super().__init__(p, p, self.modulus, 1)
         self.token = f"GF({self.order})"
         self.signature = ("GF", p, n, self.modulus)
 
@@ -283,43 +236,8 @@ class GaloisField:
         raise InconsistencyError(f"no irreducible polynomial of degree {n} "
                                  f"over Z_{p}")
 
-    def elements(self):
-        p, n = self.p, self.n
-        for val in range(self.order):
-            yield tuple((val // p ** i) % p for i in range(n))
-
-    @property
-    def zero(self):
-        return (0,) * self.n
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.n - 1)
-
-    def add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple(-a % self.p for a in x)
-
-    def mul(self, x, y):
-        prod = _pmul_mod(list(x), list(y), self.p)
-        return tuple(_prem_mod(prod, self.modulus, self.p))
-
-    def is_unit(self, x) -> bool:
-        return any(x)
-
     def elt_str(self, x) -> str:
         return _poly_elt_str(x, "t")
-
-    def sort_key(self, x):
-        return sum(c * self.p ** i for i, c in enumerate(x))
-
-    def residue_field(self):
-        return self
-
-    def __repr__(self):
-        return self.token
 
 
 def _factor_sort_key(f):
@@ -329,7 +247,7 @@ def _factor_sort_key(f):
 # -- product rings ---------------------------------------------------------
 
 class RingElement:
-    """An element of a ProductRing: a tuple of per-factor encodings."""
+    """An element of a ProductRing: a tuple of per-factor coefficient tuples."""
 
     __slots__ = ("ring", "comps")
 
@@ -417,11 +335,8 @@ class ProductRing:
             self.order *= f.order
         self.residues = tuple(f.residue_size for f in self.factors)
         self.ideal_sizes = tuple(f.ideal_size for f in self.factors)
-        # (R, +) is the product of the Z_m over these: one coordinate mod
-        # p^k for Z_(p^k), one mod p per coefficient of a tuple element
-        self.additive_moduli = tuple(
-            m for f in self.factors
-            for m in ((f.order,) if f.kind == "Z" else (f.p,) * len(f.zero)))
+        # (R, +) is the product of the Z_m over these, one per coefficient
+        self.additive_moduli = tuple(m for f in self.factors for m in f.moduli)
         # CRT integer labels need pairwise coprime Z_{p^k} factors
         primes = [f.p for f in self.factors]
         self.crt_display = (all(f.kind == "Z" for f in self.factors)
@@ -470,10 +385,7 @@ class ProductRing:
 
     def additive_coordinates(self, elt: RingElement) -> tuple:
         """elt as a tuple in the coordinates of `additive_moduli`."""
-        out = []
-        for f, c in zip(self.factors, elt.comps):
-            out.extend((c,) if f.kind == "Z" else c)
-        return tuple(out)
+        return tuple([c for comp in elt.comps for c in comp])
 
     def to_integer(self, elt: RingElement) -> int:
         """CRT integer label; defined when factors are coprime Z_{p^k}."""
@@ -481,8 +393,8 @@ class ProductRing:
             raise ValueError("no CRT integer labels for this ring")
         x, mod = 0, 1
         for f, c in zip(self.factors, elt.comps):
-            # solve x' = x (mod mod), x' = c (mod f.order)
-            t = (c - x) * pow(mod, -1, f.order) % f.order
+            # solve x' = x (mod mod), x' = c[0] (mod f.order)
+            t = (c[0] - x) * pow(mod, -1, f.order) % f.order
             x += mod * t
             mod *= f.order
         return x
@@ -490,7 +402,7 @@ class ProductRing:
     def from_integer(self, n: int) -> RingElement:
         if not self.crt_display:
             raise ValueError("no CRT integer labels for this ring")
-        return self.element(n % f.order for f in self.factors)
+        return self.element((n % f.order,) for f in self.factors)
 
     def __eq__(self, other):
         return isinstance(other, ProductRing) and self.signature == other.signature
@@ -588,7 +500,7 @@ def _build_factor(m) -> list:
         n = int(m.group("zn"))
         if n < 2:
             raise ValueError(f"Z{n} is not a ring with identity of order >= 2")
-        return [ResidueRing(p, k) for p, k in _factorize(n)]
+        return [ResidueRing(p, k) for p, k in factorize(n)]
     if m.group("gf") is not None:
         q = int(m.group("gf"))
         pw = _prime_power(q)

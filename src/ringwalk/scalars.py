@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import gcd, prod, sqrt
 from typing import Union
 
+from .intpoly import factorize
+
 Rational = Union[int, Fraction]
 
 _RAT = frozenset()  # key of the rational term
@@ -29,22 +31,9 @@ def _factor_squarefree(n: int) -> tuple[int, frozenset[int]]:
     """Write n > 0 as f*f*d with d squarefree; return (f, primes of d)."""
     if n <= 0:
         raise ValueError("radicand must be positive")
-    f = 1
-    primes = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            f *= d ** (e // 2)
-            if e % 2:
-                primes.add(d)
-        d += 1 if d == 2 else 2
-    if n > 1:
-        primes.add(n)
-    return f, frozenset(primes)
+    pairs = factorize(n)
+    return (prod(p ** (e // 2) for p, e in pairs),
+            frozenset(p for p, e in pairs if e % 2))
 
 
 class Surd:

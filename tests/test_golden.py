@@ -1,4 +1,4 @@
-"""Golden CLI corpus: exact bytes of `ringwalk walk` and `ringwalk verify`.
+"""Golden CLI corpus: exact bytes of `ringwalk` output for every subcommand.
 
 Each file under tests/golden/ is the standard output of one command.  The
 test reruns the command and compares bytes, so any change to a verdict, a
@@ -27,6 +27,10 @@ WALK_RINGS = (
     "Z5 x Z7", "Z36",
 )
 FAMILIES = ("unitary", "quadratic-unitary")
+RING_SPECS = (
+    "Z12", "Z27", "G(3)", "Zp[2,3]", "Zp[3,3]", "GF(8)", "GF(9)",
+    "GF(4) x Z3", "Z2 x Z2", "Z3 x G(2)",
+)
 
 
 def _slug(spec: str) -> str:
@@ -43,6 +47,13 @@ def _cases():
     for spec in ("Z2 x Z2", "Z12"):
         out.append((f"walk/{_slug(spec)}-unitary.txt",
                     ["walk", spec, "--format", "text"]))
+    for spec in RING_SPECS:
+        out.append((f"ring/{_slug(spec)}.json",
+                    ["ring", spec, "--format", "json"]))
+        out.append((f"ring/{_slug(spec)}.txt",
+                    ["ring", spec, "--format", "text"]))
+    out.append(("graph/Zp23-unitary.dot",
+                ["graph", "Zp[2,3]", "--format", "dot"]))
     for family in FAMILIES:
         out.append((f"verify-{family}-16.json",
                     ["verify", "--family", family, "--max-order", "16",

@@ -102,6 +102,22 @@ def test_cayley_graphs_are_transitive_iff_connected():
             assert g.vertex_transitive == g.is_connected()
 
 
+def test_cayley_graph_passes_each_edge_once_in_characteristic_two(monkeypatch):
+    # every s equals -s here, so each edge is reached from both of its ends
+    passed = []
+    init = Graph.__init__
+
+    def recording(self, n, edges, *args, **kw):
+        passed.append(list(edges))
+        init(self, n, passed[-1], *args, **kw)
+
+    monkeypatch.setattr(Graph, "__init__", recording)
+    for spec in ("GF(128)", "Z2 x Z2 x Z2"):
+        passed.clear()
+        g = unitary_cayley_graph(make_ring(spec))
+        assert [len(edges) for edges in passed] == [len(g.edges)]
+
+
 def test_induced_subgraph_keeps_structure_on_components():
     c6 = Graph.cycle(6)
     assert c6.induced_subgraph(range(6)).cayley == c6.cayley

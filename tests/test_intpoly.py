@@ -73,6 +73,7 @@ def test_two_cos_root_numerically():
 def test_euler_phi_matches_sympy():
     for n in range(1, 200):
         assert intpoly.euler_phi(n) == sympy.totient(n)
+        assert intpoly.factorize(n) == sorted(sympy.factorint(n).items())
 
 
 def test_charpoly_known_matrices():

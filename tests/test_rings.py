@@ -161,7 +161,8 @@ def test_make_ring_cap_bounds_the_product():
 
 @pytest.mark.parametrize("spec, moduli", [
     ("Z12", (3, 4)), ("GF(8) x Z5", (2, 2, 2, 5)),
-    ("Zp[2,3] x G(3)", (3, 3, 2, 2, 2)), ("Z2 x Z2", (2, 2))])
+    ("Zp[2,3] x G(3)", (3, 3, 2, 2, 2)), ("Z2 x Z2", (2, 2)), ("Z27", (27,)),
+    ("GF(9) x Zp[2,3]", (3, 3, 2, 2, 2))])
 def test_additive_coordinates_are_a_group_isomorphism(spec, moduli):
     ring = make_ring(spec)
     assert ring.additive_moduli == moduli
@@ -194,7 +195,8 @@ def test_truncated_ring_nilpotents():
 
 
 _specs = st.sampled_from(
-    ["Z4", "Z12", "G(2)", "GF(9)", "Z5 x Z13", "Z9", "GF(4) x Z3"])
+    ["Z4", "Z12", "G(2)", "GF(9)", "Z5 x Z13", "Z9", "GF(4) x Z3", "Zp[2,3]",
+     "Zp[3,3]", "GF(8)", "Z27", "Z2 x Z2 x Z2"])
 
 
 @given(_specs, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
