@@ -63,13 +63,17 @@ class Graph:
             raise ValueError("label count must match vertex count")
         self.name = name
         self.cayley = cayley
-        nbrs = [set() for _ in range(n)]
+        # edges are sorted with u <= v, so appending in edge order leaves
+        # every neighbour list sorted: first the u < w, then w itself (a
+        # loop), then the v > w
+        nbrs = [[] for _ in range(n)]
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        self.neighbors = tuple(tuple(sorted(s)) for s in nbrs)
-        self._nbr_sets = tuple(frozenset(s) for s in nbrs)
-        self.degrees = tuple(len(s) for s in self.neighbors)
+            nbrs[u].append(v)
+            if u != v:
+                nbrs[v].append(u)
+        self.neighbors = tuple(map(tuple, nbrs))
+        self._nbr_sets = tuple(map(frozenset, nbrs))
+        self.degrees = tuple(map(len, nbrs))
         self.walk_analysis = None
 
     # -- builders ----------------------------------------------------------

@@ -12,8 +12,12 @@ that needs it analytically (N N* = I, the discriminant P = N S N*, the
 compressed powers N U^tau N*) is computed structurally in closed form.
 
 Scaling U by D = lcm(degrees) makes the evolution integer-valued, so long
-products are exact integer arithmetic; periodicity certificates and the
-perfect-state-transfer search run on that scaled form.  The spectral
+products are exact integer arithmetic; periodicity certificates run on
+that scaled form.  Since N U^tau N* = T_tau(P), the vertex-level questions
+(is T_tau(P) e_0 = e_0, is it +-e_v) need only k^tau T_tau(P) e_0, an
+integer Chebyshev recurrence in A.  On a vertex-transitive graph it runs
+on the quotient of the coarsest equitable partition with {0} as a cell,
+a handful of cells instead of n vertices or 2|E| arcs.  The spectral
 classifier factors the characteristic polynomial of A over the integers
 (computed from the additive characters when the graph carries a verified
 Cayley structure, by dense reduction otherwise) and recognises every
@@ -21,7 +25,8 @@ eigenvalue mu = lambda/k that is twice-a-cosine of a rational angle: those
 are the only spectra a periodic walk can have.
 
 Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
-filled lazily, holds the arc space, the classifier's `SpectralReport`
+filled lazily, holds the arc space, the equitable quotient at vertex 0
+(computed from the adjacency alone), the classifier's `SpectralReport`
 (which carries the characteristic polynomial) and the brute-force memo:
 the horizon searched and the least period found within it.  A cached
 value is only ever read back by the route that wrote it: the classifier
@@ -82,14 +87,19 @@ class RationalMatrix:
                    for j, x in enumerate(row))
 
 
+def _check_walkable(g: Graph) -> None:
+    """Raise ValueError unless g is loopless, connected and has >= 2 vertices."""
+    if any(g.has_loop(v) for v in range(g.n)):
+        raise ValueError("the walk needs a loopless graph")
+    if g.n < 2 or not g.is_connected():
+        raise ValueError("the walk needs a connected graph on >= 2 vertices")
+
+
 class _ArcSpace:
     """Arc bookkeeping plus the integer-scaled evolution D*U."""
 
     def __init__(self, g: Graph):
-        if any(g.has_loop(v) for v in range(g.n)):
-            raise ValueError("the walk needs a loopless graph")
-        if g.n < 2 or not g.is_connected():
-            raise ValueError("the walk needs a connected graph on >= 2 vertices")
+        _check_walkable(g)
         self.n = g.n
         # connected and a verified Cayley structure: vertex-transitive
         self.transitive = g.connection is not None
@@ -135,16 +145,36 @@ def _power_columns(ar: _ArcSpace, columns, tau: int):
         yield x
 
 
+@dataclasses.dataclass(frozen=True)
+class _Quotient:
+    """An equitable partition of the vertices and its quotient matrix B.
+
+    `cells` are tuples of vertices ordered by their least vertex; rows[i]
+    lists the pairs (j, B[i][j]) with B[i][j] != 0, the number of
+    neighbours that each vertex of cell i has in cell j.  Equitable means
+    A C = C B for the n x c characteristic matrix C of the cells, so any
+    polynomial in A maps a vector constant on cells to one constant on
+    cells, computed on the c cells alone.
+    """
+
+    cells: tuple
+    rows: tuple
+
+
 @dataclasses.dataclass
 class WalkAnalysis:
     """What the walk routes have computed for one graph, filled lazily.
 
     It hangs off `Graph.walk_analysis` and dies with the graph.  Each field
     has one writer and is read back only by it: `spectrum` by
-    classify_spectrum, `searched` by bruteforce_period.
+    classify_spectrum, `searched` by bruteforce_period.  `quotient`, the
+    coarsest equitable partition with {0} as a cell, depends only on the
+    adjacency; brute force and the transfer search read it, the
+    classifier never does.
     """
 
     arcspace: _ArcSpace | None = None
+    quotient: _Quotient | None = None
     spectrum: SpectralReport | None = None
     searched: tuple | None = None  # (horizon T, least tau <= T or None)
 
@@ -160,6 +190,81 @@ def _arcspace(g: Graph) -> _ArcSpace:
     if analysis.arcspace is None:
         analysis.arcspace = _ArcSpace(g)
     return analysis.arcspace
+
+
+def _quotient(g: Graph) -> _Quotient:
+    """The coarsest equitable partition in which {0} is a cell, cached."""
+    analysis = _analysis(g)
+    if analysis.quotient is None:
+        analysis.quotient = _equitable_quotient(g, _refine(g))
+    return analysis.quotient
+
+
+def _refine(g: Graph) -> list:
+    """Colour refinement of {0} | rest on g.neighbors until it is stable.
+
+    Each round splits a colour class by the multiset of its vertices'
+    neighbour colours; a round that splits nothing leaves the coarsest
+    equitable partition refining {0} | rest.
+    """
+    colour = [int(v != 0) for v in range(g.n)]
+    classes = len(set(colour))
+    while True:
+        palette: dict = {}
+        colour = [palette.setdefault(
+                      (colour[v], tuple(sorted([colour[w] for w in g.neighbors[v]]))),
+                      len(palette))
+                  for v in range(g.n)]
+        if len(palette) == classes:
+            return colour
+        classes = len(palette)
+
+
+def _equitable_quotient(g: Graph, colour) -> _Quotient:
+    """The quotient of the partition of the vertices by `colour`.
+
+    Cells are numbered by their least vertex.  Every vertex is checked, in
+    O(|E|): {0} must be a cell and each vertex must have its cell's
+    neighbour counts, or InconsistencyError is raised.
+    """
+    number: dict = {}
+    cell = [number.setdefault(c, len(number)) for c in colour]
+    cells = [[] for _ in number]
+    rows = [None] * len(number)
+    for v, i in enumerate(cell):
+        cells[i].append(v)
+        counts: dict = {}
+        for w in g.neighbors[v]:
+            j = cell[w]
+            counts[j] = counts.get(j, 0) + 1
+        if rows[i] is None:
+            rows[i] = counts
+        elif counts != rows[i]:
+            raise InconsistencyError(
+                f"the partition {cells} of {g!r} is not equitable at vertex {v}")
+    if cells[0] != [0]:
+        raise InconsistencyError(f"{{0}} is not a cell of the partition of {g!r}")
+    return _Quotient(tuple(map(tuple, cells)),
+                     tuple(tuple(sorted(r.items())) for r in rows))
+
+
+def _chebyshev_cells(q: _Quotient, start: int, k: int, bound: int):
+    """Yield X_tau = k^tau T_tau(P) e_start on the cells, tau = 1..bound.
+
+    `start` is a singleton cell.  X_0 = e_start, X_1 = B X_0 and
+    X_(tau+1) = 2 B X_tau - k^2 X_(tau-1), in integers; the vertex vector
+    k^tau T_tau(P) e_v for the vertex v of that cell takes the value
+    X_tau[i] on every vertex of cell i.
+    """
+    prev = [0] * len(q.rows)
+    prev[start] = 1
+    cur = [sum(b * prev[j] for j, b in row) for row in q.rows]
+    k2 = k * k
+    for tau in range(1, bound + 1):
+        if tau > 1:
+            prev, cur = cur, [2 * sum(b * cur[j] for j, b in row) - k2 * p
+                              for row, p in zip(q.rows, prev)]
+        yield cur
 
 
 def time_evolution(g: Graph) -> RationalMatrix:
@@ -238,9 +343,18 @@ def vertex_transfer_matrix(g: Graph, tau: int) -> RationalMatrix:
 def bruteforce_period(g: Graph, tau_max: int):
     """Least tau <= tau_max with U^tau = I, or None.
 
-    Walks a single probe vector through the scaled evolution; a mismatch at
-    tau certifies U^tau != I, and probe coincidences are confirmed
-    column-by-column, exactly, before being reported.
+    A probe rules out most tau cheaply, and each tau that survives it is
+    confirmed column by column, exactly, before it is reported.
+
+    On a vertex-transitive graph the probe runs on the equitable quotient
+    at vertex 0 (`_quotient`).  U^tau = I gives T_tau(P) = N U^tau N* =
+    N N* = I, so T_tau(P) e_0 = e_0, and a cell vector X_tau (see
+    `_chebyshev_cells`) other than k^tau e_0 rules tau out, at O(c^2) per
+    step for c cells instead of O(|E|).  The arc space is built at the
+    first survivor only, so an aperiodic graph never builds it.  Other
+    graphs walk one probe vector through the scaled evolution on all 2|E|
+    arcs; a mismatch at tau certifies U^tau != I.  Both probes read only
+    the adjacency.
 
     Confirmation uses the graph's symmetry, never its spectrum, so this
     route stays independent of the classifier.  An automorphism of the
@@ -264,13 +378,29 @@ def bruteforce_period(g: Graph, tau_max: int):
             return tau if tau <= tau_max else None
         if horizon >= tau_max:
             return None
-    tau = _search_period(_arcspace(g), tau_max)
+    tau = _search_period(g, tau_max)
     analysis.searched = (tau_max, tau)
     return tau
 
 
-def _search_period(ar: _ArcSpace, tau_max: int):
+def _search_period(g: Graph, tau_max: int):
     """The probe search behind bruteforce_period, without the memo."""
+    _check_walkable(g)
+    if not g.vertex_transitive:
+        return _search_period_on_arcs(_arcspace(g), tau_max)
+    k = g.regularity
+    target = 1
+    for tau, x in enumerate(_chebyshev_cells(_quotient(g), 0, k, tau_max), 1):
+        target *= k
+        if x[0] == target and not any(x[1:]):
+            ar = _arcspace(g)
+            if _power_is_identity(ar, tau, _confirmation_arcs(ar)):
+                return tau
+    return None
+
+
+def _search_period_on_arcs(ar: _ArcSpace, tau_max: int):
+    """The probe on all 2|E| arcs, for graphs not known vertex-transitive."""
     probe = list(range(1, ar.size + 1))
     x = probe[:]
     factor = 1
@@ -579,6 +709,13 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
     search is pruned; otherwise tau_max is mandatory.  Entries with a
     single +-1 amplitude but any other nonzero amplitude are not transfers
     and are never reported.
+
+    By default a vertex-transitive graph is searched from vertex 0 alone,
+    on its equitable quotient at 0 (`_quotient`): k^tau T_tau(P) e_0 is
+    constant on each cell, so it is +-k^tau e_v exactly when one cell is
+    nonzero, with value +-k^tau, and that cell is a singleton {v}, v != 0.
+    Explicit `sources`, and graphs not known to be vertex-transitive, are
+    searched from each source on all n vertices.
     """
     if not g.is_regular or not g.is_connected():
         raise ValueError("the transfer search needs a connected regular graph")
@@ -595,30 +732,27 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
         if tau_max > TAU_CAP:
             raise SizeCapExceeded(f"tau_max {tau_max} exceeds cap {TAU_CAP}")
         bound = tau_max
-    if sources is None:
-        sources = (0,) if g.vertex_transitive else tuple(range(g.n))
+    # Each source u is the singleton cell number u: vertex 0 of the
+    # quotient, or any vertex of the discrete partition, whose quotient is A.
+    if sources is None and g.vertex_transitive:
+        sources, q = (0,), _quotient(g)
     else:
-        sources = tuple(sources)
+        sources = tuple(range(g.n)) if sources is None else tuple(sources)
+        q = _Quotient(tuple((v,) for v in range(g.n)),
+                      tuple(tuple((w, 1) for w in row) for row in g.neighbors))
     k = g.regularity
-    nbrs = g.neighbors
     hits = set()
     for u in sources:
-        # cur = k^tau T_tau(P) e_u, by X_(tau+1) = 2 A X_tau - k^2 X_(tau-1)
-        prev = [0] * g.n
-        prev[u] = 1
-        cur = [sum(prev[j] for j in row) for row in nbrs]
-        target = k
-        for tau in range(1, bound + 1):
-            if tau > 1:
-                nxt = [2 * sum(cur[j] for j in row) - k * k * p
-                       for row, p in zip(nbrs, prev)]
-                prev, cur = cur, nxt
-                target *= k
-            nz = [i for i, x in enumerate(cur) if x]
-            if len(nz) == 1 and nz[0] != u and abs(cur[nz[0]]) == target:
-                v = nz[0]
-                phase = 1 if cur[v] > 0 else -1
-                hits.add(PSTPair(u, v, tau, phase))
-                hits.add(PSTPair(v, u, tau, phase))  # T_tau(P) is symmetric
+        target = 1
+        for tau, x in enumerate(_chebyshev_cells(q, u, k, bound), 1):
+            target *= k
+            nz = [i for i, a in enumerate(x) if a]
+            if len(nz) == 1 and abs(x[nz[0]]) == target:
+                cell = q.cells[nz[0]]
+                if len(cell) == 1 and cell[0] != u:
+                    v = cell[0]
+                    phase = 1 if x[nz[0]] > 0 else -1
+                    hits.add(PSTPair(u, v, tau, phase))
+                    hits.add(PSTPair(v, u, tau, phase))  # T_tau(P) is symmetric
     pairs = tuple(sorted(hits, key=lambda h: (h.time, h.source, h.target)))
     return PSTReport(pairs, report.periodic, per, bound, sources)

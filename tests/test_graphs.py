@@ -51,6 +51,25 @@ def test_loop_handling():
     assert g.vertex_transitive
 
 
+def test_adjacency_matches_reference_on_messy_edge_lists():
+    """Duplicates, reversed pairs and loops are normalised away."""
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randrange(3 * n))]
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+        g = Graph(n, edges, allow_loops=True)
+        pairs = {(min(u, v), max(u, v)) for u, v in edges}
+        nbrs = [sorted(w for w in range(n) if (min(v, w), max(v, w)) in pairs)
+                for v in range(n)]
+        assert g.edges == tuple(sorted(pairs))
+        assert g.neighbors == tuple(map(tuple, nbrs))
+        assert g.degrees == tuple(map(len, nbrs))
+        assert all(g.adjacent(u, v) == (v in nbrs[u])
+                   for u in range(n) for v in range(n))
+
+
 def test_unitary_cayley_graphs_small():
     g = unitary_cayley_graph(make_ring("Z4"))
     assert is_isomorphic(g, Graph.cycle(4)) is not None

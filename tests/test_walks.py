@@ -110,6 +110,85 @@ def test_reduced_confirmation_matches_all_columns():
     assert checked > 0
 
 
+def _catalog_components():
+    """Every component of both families' graphs on the rings of order <= 36."""
+    for ring in enumerate_rings(36):
+        for build in (unitary_cayley_graph, quadratic_unitary_cayley_graph):
+            g = build(ring)
+            for comp in g.connected_components():
+                yield (ring.token, build.__name__, comp[0]), g.induced_subgraph(comp)
+
+
+def test_quotient_routes_agree_with_arc_probe_and_vertex_search():
+    small = [Graph.cycle(n) for n in range(3, 13)] + [
+        Graph.complete(n) for n in range(2, 13)]
+    cases = list(_catalog_components()) + [
+        (g.name, g) for g in small + [tensor_product(Graph.cycle(4), Graph.complete(3))]]
+    periodic = 0
+    for name, g in cases:
+        assert g.vertex_transitive, name
+        bound = walks.classify_spectrum(g).period_bound
+        periodic += bound is not None
+        for horizon in {120, bound or 120}:
+            assert walks._search_period(g, horizon) == walks._search_period_on_arcs(
+                walks._arcspace(g), horizon), (name, horizon)
+        assert walks.find_pst(g).pairs == walks.find_pst(g, sources=(0,)).pairs, name
+    assert periodic > 100
+
+
+def test_cell_recurrence_matches_chebyshev_oracle():
+    assert walks._quotient(Graph.cycle(6)).cells == ((0,), (1, 5), (2, 4), (3,))
+    for g in (Graph.cycle(8), Graph.complete(5), _petersen(),
+              unitary_cayley_graph(make_ring("Z12")),
+              quadratic_unitary_cayley_graph(make_ring("Z9"))):
+        q = walks._quotient(g)
+        cell = {v: i for i, members in enumerate(q.cells) for v in members}
+        p, k = walks.discriminant(g), g.regularity
+        for tau, x in enumerate(walks._chebyshev_cells(q, 0, k, 10), 1):
+            assert [x[cell[v]] for v in range(g.n)] == [
+                k ** tau * a for a in walks.chebyshev_apply(p, 0, tau)], (g, tau)
+
+
+def test_aperiodic_probe_builds_no_arc_space(monkeypatch):
+    g = quadratic_unitary_cayley_graph(make_ring("Z101"))
+    assert walks.bruteforce_period(g, 120) is None
+    assert g.walk_analysis.arcspace is None
+    probed = []
+    real = walks.bruteforce_period
+
+    def recorded(h, tau_max):
+        probed.append(h)
+        return real(h, tau_max)
+
+    monkeypatch.setattr(walks, "bruteforce_period", recorded)
+    record = verify.verify_ring(make_ring("Z13"), "quadratic")
+    assert not record.failures and not record.brute_periodic
+    assert probed and all(h.walk_analysis.arcspace is None for h in probed)
+
+
+def test_walk_errors_fire_before_the_quotient_search(monkeypatch):
+    monkeypatch.setattr(walks, "_refine", _refuse)
+    for build in (lambda: Graph.complete_pseudograph(3),
+                  lambda: unitary_cayley_graph(make_ring("Z2 x Z2"))):
+        with pytest.raises(ValueError) as arc_route:
+            walks.time_evolution(build())
+        with pytest.raises(ValueError) as probe:
+            walks.bruteforce_period(build(), 10)
+        assert str(probe.value) == str(arc_route.value)
+
+
+def test_quotient_rejects_partitions_that_are_not_equitable(monkeypatch):
+    monkeypatch.setattr(walks, "_refine", lambda g: [int(v != 0) for v in range(g.n)])
+    with pytest.raises(errors.InconsistencyError):
+        walks.bruteforce_period(Graph.cycle(6), 10)
+    with pytest.raises(errors.InconsistencyError):
+        walks.find_pst(Graph.cycle(6))
+    # equitable, but {0} is not a cell
+    monkeypatch.setattr(walks, "_refine", lambda g: [0] * g.n)
+    with pytest.raises(errors.InconsistencyError):
+        walks.bruteforce_period(Graph.cycle(6), 10)
+
+
 def test_graph_without_action_confirms_on_all_columns():
     cayley = unitary_cayley_graph(make_ring("Z8"))
     bare = Graph.from_adjacency(cayley.adjacency_matrix())
@@ -225,6 +304,10 @@ def test_decision_checks_survive_optimize_flag():
         "c4 = graphs.Graph.cycle(4)\n"
         "swapped = graphs.Graph(4, c4.edges, cayley=((4,), [(0,), (2,), (1,), (3,)]))\n"
         "assert_free.append(raises(lambda: swapped.connection))\n"
+        "real_refine = walks._refine\n"
+        "walks._refine = lambda g: [int(v != 0) for v in range(g.n)]\n"
+        "assert_free.append(raises(lambda: walks.bruteforce_period(c4, 10)))\n"
+        "walks._refine = real_refine\n"
         "bad = lambda n: (0,) * n + (2,)\n"
         "intpoly.cayley_charpoly = lambda moduli, connection, n: bad(n)\n"
         "walk_z4 = cli.main(['walk', 'Z4'])\n"
