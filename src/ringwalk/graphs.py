@@ -11,11 +11,14 @@ builders that know them (Cayley graphs, cycles, complete graphs, tensor
 products, induced subgraphs that are unions of components).  The
 structure is verified once, on first use of `Graph.connection`, and both
 `vertex_transitive` and the character-sum charpoly are derived from that
-one check, never claimed by a caller.
+one check, never claimed by a caller.  The connected components are
+likewise computed once, on first use, and every caller reads that value.
 
 Isomorphism and automorphism enumeration are exact: joint colour
 refinement for pruning, then backtracking with full adjacency checks on
-the result.  No canonical-labelling dependency; sizes are capped.
+the result.  No canonical-labelling dependency; sizes are capped.  One
+colour-refinement kernel, `refine`, serves both the joint refinement and
+the equitable quotient of ringwalk.walks.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ class Graph:
         self._nbr_sets = tuple(map(frozenset, nbrs))
         self.degrees = tuple(map(len, nbrs))
         self.walk_analysis = None
+        self._components = None
 
     # -- builders ----------------------------------------------------------
 
@@ -182,25 +186,28 @@ class Graph:
         return self.connection is not None and self.is_connected()
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1 if self.n else True
+        return len(self.connected_components()) <= 1
 
-    def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self.neighbors[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+    def connected_components(self) -> tuple:
+        """The components as sorted vertex tuples, ordered by least vertex.
+
+        Computed on the first call; every later call returns the same tuple.
+        """
+        if self._components is None:
+            seen = [False] * self.n
+            comps = []
+            for s in range(self.n):
+                if not seen[s]:
+                    seen[s] = True
+                    comp = [s]
+                    for u in comp:  # breadth first: comp grows as it is read
+                        for w in self.neighbors[u]:
+                            if not seen[w]:
+                                seen[w] = True
+                                comp.append(w)
+                    comps.append(tuple(sorted(comp)))
+            self._components = tuple(comps)
+        return self._components
 
     def induced_subgraph(self, vertices) -> "Graph":
         """The subgraph on `vertices`, relabelled 0..m-1 in sorted order.
@@ -373,40 +380,50 @@ def _twin_partition(g: Graph):
     return classes
 
 
-def _quotient(g: Graph, classes):
+def _twin_quotient(g: Graph, classes):
     """Quotient graph on twin classes plus per-class colour seeds."""
     rep = {}
     for i, (_, members) in enumerate(classes):
         for v in members:
             rep[v] = i
-    edges = set()
-    for u, v in g.edges:
-        a, b = rep[u], rep[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    q = Graph(len(classes), sorted(edges))
+    # Graph normalises and deduplicates the edge list
+    edges = [(rep[u], rep[v]) for u, v in g.edges if rep[u] != rep[v]]
+    q = Graph(len(classes), edges)
     seeds = [(tag, len(members), g.has_loop(members[0]))
              for tag, members in classes]
     return q, seeds
 
 
-def _joint_refinement(g: Graph, h: Graph, seed_g=None, seed_h=None):
-    """Stable joint colouring of both vertex sets; None if multisets split."""
-    cg = [(g.degrees[v], g.has_loop(v), seed_g[v] if seed_g else None)
-          for v in range(g.n)]
-    ch = [(h.degrees[v], h.has_loop(v), seed_h[v] if seed_h else None)
-          for v in range(h.n)]
+def refine(neighbors, colour) -> list:
+    """The coarsest equitable partition refining `colour`, as colour numbers.
+
+    Each round splits every class by the multiset of its vertices'
+    neighbour colours, until a round adds no class.
+    """
+    classes = len(set(colour))
     while True:
         palette: dict = {}
-        ng = [palette.setdefault((cg[v], tuple(sorted(cg[u] for u in g.neighbors[v]))),
-                                 len(palette)) for v in range(g.n)]
-        nh = [palette.setdefault((ch[v], tuple(sorted(ch[u] for u in h.neighbors[v]))),
-                                 len(palette)) for v in range(h.n)]
-        if sorted(ng) != sorted(nh):
-            return None
-        if ng == cg and nh == ch:
-            return cg, ch
-        cg, ch = ng, nh
+        colour = [palette.setdefault(
+                      (colour[v], tuple(sorted([colour[w] for w in nbrs]))),
+                      len(palette))
+                  for v, nbrs in enumerate(neighbors)]
+        if len(palette) == classes:
+            return colour
+        classes = len(palette)
+
+
+def _joint_refinement(g: Graph, h: Graph, seed_g=None, seed_h=None):
+    """Stable joint colouring of both vertex sets; None if multisets split.
+
+    One `refine` of the disjoint union, so both sides share the palette.
+    Refinement only splits classes, so checking the stable colours suffices.
+    """
+    seed = [(gr.has_loop(v), sd[v] if sd else None)
+            for gr, sd in ((g, seed_g), (h, seed_h)) for v in range(gr.n)]
+    colour = refine(g.neighbors + tuple(tuple([w + g.n for w in nbrs])
+                                        for nbrs in h.neighbors), seed)
+    cg, ch = colour[:g.n], colour[g.n:]
+    return (cg, ch) if sorted(cg) == sorted(ch) else None
 
 
 def _match(g: Graph, h: Graph, colors, find_all: bool):
@@ -488,8 +505,8 @@ def is_isomorphic(g: Graph, h: Graph):
     profile = lambda cs, gr: sorted((tag, len(m), gr.has_loop(m[0])) for tag, m in cs)
     if profile(classes_g, g) != profile(classes_h, h):
         return None
-    qg, seeds_g = _quotient(g, classes_g)
-    qh, seeds_h = _quotient(h, classes_h)
+    qg, seeds_g = _twin_quotient(g, classes_g)
+    qh, seeds_h = _twin_quotient(h, classes_h)
     colors = _joint_refinement(qg, qh, seeds_g, seeds_h)
     if colors is None:
         return None

@@ -342,12 +342,6 @@ class VerificationRecord:
         return "pass"
 
 
-def _component_of_zero(graph: Graph) -> Graph:
-    comps = graph.connected_components()
-    comp = next(c for c in comps if 0 in c)
-    return graph.induced_subgraph(comp)
-
-
 def verify_ring(ring: ProductRing, family: str = "unitary",
                 tau_max: int = 120) -> VerificationRecord:
     """Run every applicable prediction for one ring against the walk engine."""
@@ -374,7 +368,9 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
         failures.append("graph is not regular")
         k = -1
 
-    component = _component_of_zero(graph) if not connected else graph
+    # components are ordered by least vertex, so the first one holds 0
+    component = graph if connected else \
+        graph.induced_subgraph(graph.connected_components()[0])
     report = walks.classify_spectrum(component)
     formula = None
     spectrum_verified = None

@@ -43,7 +43,7 @@ from math import gcd, isqrt
 
 from . import intpoly
 from .errors import InconsistencyError, SizeCapExceeded
-from .graphs import Graph
+from .graphs import Graph, refine
 from .intpoly import two_cos_minimal_poly
 from .scalars import Surd, exact_str, sort_key
 
@@ -201,23 +201,8 @@ def _quotient(g: Graph) -> _Quotient:
 
 
 def _refine(g: Graph) -> list:
-    """Colour refinement of {0} | rest on g.neighbors until it is stable.
-
-    Each round splits a colour class by the multiset of its vertices'
-    neighbour colours; a round that splits nothing leaves the coarsest
-    equitable partition refining {0} | rest.
-    """
-    colour = [int(v != 0) for v in range(g.n)]
-    classes = len(set(colour))
-    while True:
-        palette: dict = {}
-        colour = [palette.setdefault(
-                      (colour[v], tuple(sorted([colour[w] for w in g.neighbors[v]]))),
-                      len(palette))
-                  for v in range(g.n)]
-        if len(palette) == classes:
-            return colour
-        classes = len(palette)
+    """The coarsest equitable partition with {0} as a cell, by `refine`."""
+    return refine(g.neighbors, [int(v != 0) for v in range(g.n)])
 
 
 def _equitable_quotient(g: Graph, colour) -> _Quotient:

@@ -2,20 +2,25 @@
 
 import itertools
 import random
+import weakref
+from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from ringwalk import errors
+from ringwalk import errors, verify
 from ringwalk.graphs import (
     Graph,
     Permutation,
+    _joint_refinement,
+    _twin_partition,
     automorphism_group,
     cayley_graph,
     graph_json,
     is_isomorphic,
     quadratic_unitary_cayley_graph,
+    refine,
     tensor_product,
     to_dot,
     unitary_cayley_graph,
@@ -150,6 +155,90 @@ def test_induced_subgraph_keeps_structure_on_components():
         sub = g.induced_subgraph(vs)
         assert sub.connection == g.connection
         assert sub.vertex_transitive == sub.is_connected()
+
+
+def test_components_are_computed_once():
+    g = unitary_cayley_graph(make_ring("Z2 x Z2 x Z3"))
+    comps = g.connected_components()
+    assert comps is g.connected_components()
+    assert type(comps) is tuple and len(comps) == 2
+    assert all(type(c) is tuple and list(c) == sorted(c) for c in comps)
+    assert 0 in comps[0] and comps[0][0] < comps[1][0]
+
+
+def test_sweep_searches_components_once_per_graph(monkeypatch):
+    # a value that is not the one the graph returned before is a new search
+    built, searches, repeated = [0], [0], []
+    last = weakref.WeakKeyDictionary()
+    init, components = Graph.__init__, Graph.connected_components
+
+    def counting_init(self, *args, **kw):
+        built[0] += 1
+        init(self, *args, **kw)
+
+    def counting_components(self):
+        value = components(self)
+        before = last.get(self)
+        if before is not value:
+            searches[0] += 1
+            if before is not None:
+                repeated.append(repr(self))
+            last[self] = value
+        return value
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(Graph, "connected_components", counting_components)
+    for family in ("unitary", "quadratic"):
+        assert all(rec.ok for rec in verify.sweep(36, family))
+    assert not repeated
+    assert 0 < searches[0] <= built[0]
+
+
+def _random_graphs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 16)
+        base = nx.gnp_random_graph(n, rng.choice((0.2, 0.4, 0.6)),
+                                   seed=rng.randrange(10 ** 6))
+        yield rng, Graph(n, list(base.edges()))
+
+
+def test_refinement_is_stable_and_equitable():
+    for rng, g in _random_graphs(31, 60):
+        seed = [rng.randrange(2) for _ in range(g.n)]
+        colour = refine(g.neighbors, seed)
+        assert refine(g.neighbors, colour) == colour
+        profile = {}
+        for v in range(g.n):
+            counts = Counter(colour[w] for w in g.neighbors[v])
+            assert profile.setdefault(colour[v], (seed[v], counts)) == (seed[v], counts)
+
+
+def test_joint_refinement_follows_a_relabelling():
+    for rng, g in _random_graphs(37, 40):
+        relabel = list(range(g.n))
+        rng.shuffle(relabel)
+        h = Graph(g.n, [(relabel[u], relabel[v]) for u, v in g.edges])
+        cg, ch = _joint_refinement(g, h)
+        assert all(cg[v] == ch[relabel[v]] for v in range(g.n))
+
+
+def test_isomorphism_where_refinement_and_twins_cannot_split():
+    # both cubic on 8 vertices, vertex-transitive and twin-free, so the
+    # search alone tells the bipartite cube from the Wagner graph
+    cube = Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+    wagner = Graph(8, [(i, (i + 1) % 8) for i in range(8)] +
+                   [(i, i + 4) for i in range(4)])
+    for g in (cube, wagner):
+        assert all(len(members) == 1 for _, members in _twin_partition(g))
+    cg, cw = _joint_refinement(cube, wagner)
+    assert len(set(cg)) == len(set(cw)) == 1
+    assert is_isomorphic(cube, wagner) is None
+    relabel = [3, 6, 0, 5, 7, 1, 4, 2]
+    copy = Graph(8, [(relabel[u], relabel[v]) for u, v in wagner.edges])
+    perm = is_isomorphic(wagner, copy)
+    assert perm is not None
+    assert all(copy.adjacent(perm(u), perm(v)) for u, v in wagner.edges)
 
 
 def test_carried_structure_must_match_the_edges():

@@ -1,0 +1,24 @@
+"""The benchmark harness runs end to end on a short traced pass.
+
+perfbench/run.py exits non-zero when a traced name cannot be found, when a
+trace wrapper is still reachable after uninstalling, or when the two traced
+passes make different calls; a short `--trace 1` run on walk-periodic
+exercises all three.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_benchmark_pass_completes():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "walk-periodic",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    last = json.loads(done.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0

@@ -2,20 +2,24 @@
 
 import gc
 import os
+import random
 import subprocess
 import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from ringwalk import errors, intpoly, verify, walks
 from ringwalk.graphs import (Graph, quadratic_unitary_cayley_graph, tensor_product,
                              unitary_cayley_graph)
 from ringwalk.rings import enumerate_rings, make_ring
+from ringwalk.scalars import Surd
 
 
 def _petersen() -> Graph:
@@ -443,6 +447,85 @@ def test_classifier_agrees_with_numpy_spectrum():
         k = g.regularity
         theirs = sorted(np.linalg.eigvalsh(np.array(g.adjacency_matrix()) / k))
         assert np.allclose(ours, theirs, atol=1e-9)
+
+
+def _poly_mul(p, q):
+    """Product of coefficient lists, lowest degree first, any exact scalars."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _roots_are_rational_cosines(f, k) -> bool:
+    """Whether every root lambda of the monic irreducible integer f (low
+    degree first) has lambda/k = cos(pi r) with r rational.
+
+    Write y = 2 lambda/k = z + 1/z.  A root of A has |lambda| <= k, so each
+    z lies on the unit circle, and by Kronecker's theorem z is a root of
+    unity iff it is an algebraic integer, that is iff y is one: iff the
+    monic minimal polynomial f(k y/2) (2/k)^d of y has integer coefficients.
+    """
+    d = len(f) - 1
+    return all(f[i] * 2 ** (d - i) % k ** (d - i) == 0 for i in range(d))
+
+
+def test_classifier_matches_sympy_factorisation():
+    """classify_spectrum against sympy's factor_list of char(A).
+
+    Random regular graphs carry no Cayley structure, so they take the dense
+    route; 2-regular ones are cycles, whose cubic and higher orbits give
+    lam_poly lines.
+    """
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    done = 0
+    while done < 50:
+        n, k = rng.randrange(4, 15), rng.randrange(2, 14)
+        if k >= n or n * k % 2:
+            continue
+        base = nx.random_regular_graph(k, n, seed=rng.randrange(10 ** 6))
+        if not nx.is_connected(base):
+            continue
+        done += 1
+        g = Graph(n, list(base.edges()))
+        rep = walks.classify_spectrum(g)
+        char = sympy.Matrix(g.adjacency_matrix()).charpoly(x)
+        product = [1]
+        for line in rep.lines:
+            factor = line.lam_poly if line.mu is None else (-k * line.mu, 1)
+            for _ in range(line.multiplicity):
+                product = _poly_mul(product, factor)
+        assert _poly_mul(product, rep.unfactored or (1,)) == [
+            int(a) for a in char.all_coeffs()[::-1]]
+        by_mu = {line.mu: line for line in rep.lines if line.mu is not None}
+        matched, periodic = 0, True
+        for f, e in char.factor_list()[1]:
+            c = tuple(int(a) for a in f.all_coeffs()[::-1])
+            if len(c) == 2:
+                roots = [Fraction(-c[0])]
+            elif len(c) == 3:
+                root = Surd.sqrt(c[1] ** 2 - 4 * c[0])
+                roots = [(root - c[1]) / 2, (-root - c[1]) / 2]
+            else:
+                roots = []
+                power = [1]
+                for _ in range(e):
+                    power = _poly_mul(power, c)
+                assert any(line.lam_poly == c and line.multiplicity == e
+                           for line in rep.lines) or (
+                    rep.unfactored is not None
+                    and intpoly.try_divide(rep.unfactored, tuple(power)) is not None)
+            for lam in roots:
+                line = by_mu[lam / k]
+                assert (line.multiplicity, line.degree) == (e, len(roots))
+            matched += len(roots)
+            periodic = periodic and _roots_are_rational_cosines(c, k)
+        assert matched == len(by_mu)
+        assert rep.periodic == (rep.unfactored is None
+                                and all(line.allowed for line in rep.lines))
+        assert rep.periodic == periodic
 
 
 def test_pst_on_even_cycles():
