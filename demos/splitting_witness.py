@@ -2,10 +2,12 @@
 
 For a local ring with odd residue size q and maximal ideal of size m,
 the quadratic-unitary graph is a copy of the residue field's graph
-blown up by a loop-complete block of size m.  This demo finds the
-permutation witness and spells it out.
+blown up by a loop-complete block of size m.  This demo constructs the
+permutation witness from the residues of the ring's elements and spells
+it out.  The witness is built directly, so large rings such as Z729 work
+too.
 
-Run with  python3 demos/splitting_witness.py [spec]
+Run with  python3 demos/splitting_witness.py [spec]    (e.g. Z9, G(5), Z729)
 """
 
 import sys

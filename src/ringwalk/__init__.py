@@ -10,9 +10,9 @@ perfect-state-transfer certificates with explicit times and phases.
 """
 
 from .errors import FormulaNotApplicable, InconsistencyError, SizeCapExceeded
-from .graphs import (Graph, Permutation, automorphism_group, cayley_graph,
-                     graph_json, is_isomorphic, quadratic_unitary_cayley_graph,
-                     tensor_product, to_dot, unitary_cayley_graph)
+from .graphs import (Graph, Permutation, cayley_graph, graph_json,
+                     quadratic_unitary_cayley_graph, tensor_product, to_dot,
+                     unitary_cayley_graph)
 from .intpoly import charpoly, charpoly_reference, cyclotomic, euler_phi, \
     two_cos_minimal_poly
 from .rings import (ConnectionSet, ProductRing, RingElement, enumerate_rings,
@@ -24,7 +24,7 @@ from .verify import (PredictedSpectrum, VerificationRecord, ideal_product,
                      predicted_periodic_unitary, predicted_pst_quadratic,
                      predicted_pst_unitary, predicted_quadratic_spectrum,
                      predicted_unitary_spectrum, quadratic_regime, sweep,
-                     verify_ring)
+                     unitary_isomorphism, verify_ring)
 from .walks import (PSTPair, PSTReport, RationalMatrix, SpectralLine,
                     SpectralReport, bruteforce_period, chebyshev_apply,
                     chebyshev_matrix, classify_spectrum, discriminant,
@@ -35,9 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FormulaNotApplicable", "InconsistencyError", "SizeCapExceeded",
-    "Graph", "Permutation", "automorphism_group", "cayley_graph", "graph_json",
-    "is_isomorphic", "quadratic_unitary_cayley_graph", "tensor_product",
-    "to_dot", "unitary_cayley_graph",
+    "Graph", "Permutation", "cayley_graph", "graph_json",
+    "quadratic_unitary_cayley_graph", "tensor_product", "to_dot",
+    "unitary_cayley_graph",
     "charpoly", "charpoly_reference", "cyclotomic", "euler_phi",
     "two_cos_minimal_poly",
     "ConnectionSet", "ProductRing", "RingElement", "enumerate_rings",
@@ -45,7 +45,8 @@ __all__ = [
     "square_units", "units",
     "Surd", "exact_str",
     "PredictedSpectrum", "VerificationRecord", "ideal_product",
-    "local_quadratic_splitting", "predicted_periodic_quadratic",
+    "local_quadratic_splitting", "unitary_isomorphism",
+    "predicted_periodic_quadratic",
     "predicted_periodic_unitary", "predicted_pst_quadratic",
     "predicted_pst_unitary", "predicted_quadratic_spectrum",
     "predicted_unitary_spectrum", "quadratic_regime", "sweep", "verify_ring",

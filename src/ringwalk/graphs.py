@@ -1,4 +1,4 @@
-"""Undirected graphs, Cayley constructions, tensor products, isomorphism.
+"""Undirected graphs, Cayley constructions, tensor products, witnesses.
 
 Graphs are simple except for optional loops (a loop contributes 1 to the
 adjacency diagonal and 1 to the degree; the looped complete graph is what
@@ -14,28 +14,22 @@ structure is verified once, on first use of `Graph.connection`, and both
 one check, never claimed by a caller.  The connected components are
 likewise computed once, on first use, and every caller reads that value.
 
-Isomorphism and automorphism enumeration are exact: joint colour
-refinement for pruning, then backtracking with full adjacency checks on
-the result.  No canonical-labelling dependency; sizes are capped.  One
-colour-refinement kernel, `refine`, serves both the joint refinement and
-the equitable quotient of ringwalk.walks.
+An isomorphism is a `Permutation` that its caller constructs
+(ringwalk.verify builds its witnesses from ring residues), and
+`_verify_mapping` checks it edge by edge.  One colour-refinement kernel,
+`refine`, gives the equitable quotient of ringwalk.walks.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .errors import InconsistencyError, SizeCapExceeded
+from .errors import InconsistencyError
 from .rings import ConnectionSet, ProductRing, quadratic_connection, units
-
-ISO_CAP = 64
-AUT_CAP = 16
 
 __all__ = [
     "Graph", "Permutation", "cayley_graph", "unitary_cayley_graph",
-    "quadratic_unitary_cayley_graph", "tensor_product",
-    "is_isomorphic", "automorphism_group", "to_dot", "graph_json",
-    "ISO_CAP", "AUT_CAP",
+    "quadratic_unitary_cayley_graph", "tensor_product", "to_dot", "graph_json",
 ]
 
 
@@ -297,102 +291,7 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
                  name=f"{g.name or 'G'} (x) {h.name or 'H'}")
 
 
-# -- isomorphism -----------------------------------------------------------
-
-class Permutation:
-    """A bijection of 0..n-1; mapping[v] is the image of v."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping):
-        self.mapping = tuple(mapping)
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError("not a permutation")
-
-    def __call__(self, v: int) -> int:
-        return self.mapping[v]
-
-    def __len__(self):
-        return len(self.mapping)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for v, w in enumerate(self.mapping):
-            inv[w] = v
-        return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: v -> self(other(v))."""
-        return Permutation(self.mapping[other.mapping[v]]
-                           for v in range(len(self.mapping)))
-
-    def matrix(self) -> list[list[int]]:
-        """M with M e_v = e_{mapping[v]}."""
-        n = len(self.mapping)
-        m = [[0] * n for _ in range(n)]
-        for v, w in enumerate(self.mapping):
-            m[w][v] = 1
-        return m
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == w for v, w in enumerate(self.mapping))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.mapping == other.mapping
-
-    def __hash__(self):
-        return hash(self.mapping)
-
-    def __repr__(self):
-        return f"Permutation{self.mapping}"
-
-
-def _twin_partition(g: Graph):
-    """Partition vertices into interchangeable classes.
-
-    Loopless vertices with identical open neighbourhoods form an
-    independent class; vertices with identical closed neighbourhoods form a
-    clique class.  Members of one class can be permuted freely by
-    automorphisms, and adjacency between two classes is all-or-nothing, so
-    isomorphism can be decided on the quotient.
-    """
-    open_key = {}
-    for v in range(g.n):
-        if not g.has_loop(v):
-            open_key.setdefault(g._nbr_sets[v], []).append(v)
-    classes = []
-    leftover = []
-    for members in open_key.values():
-        if len(members) > 1:
-            classes.append(("I", tuple(members)))
-        else:
-            leftover.append(members[0])
-    leftover.extend(v for v in range(g.n) if g.has_loop(v))
-    closed_key = {}
-    for v in leftover:
-        closed_key.setdefault((g.has_loop(v), g._nbr_sets[v] | {v}), []).append(v)
-    for (loop, _), members in sorted(closed_key.items(),
-                                     key=lambda kv: kv[1][0]):
-        tag = "K" + ("o" if loop else "") if len(members) > 1 else "1"
-        classes.append((tag, tuple(members)))
-    classes.sort(key=lambda c: c[1][0])
-    return classes
-
-
-def _twin_quotient(g: Graph, classes):
-    """Quotient graph on twin classes plus per-class colour seeds."""
-    rep = {}
-    for i, (_, members) in enumerate(classes):
-        for v in members:
-            rep[v] = i
-    # Graph normalises and deduplicates the edge list
-    edges = [(rep[u], rep[v]) for u, v in g.edges if rep[u] != rep[v]]
-    q = Graph(len(classes), edges)
-    seeds = [(tag, len(members), g.has_loop(members[0]))
-             for tag, members in classes]
-    return q, seeds
-
+# -- colour refinement -----------------------------------------------------
 
 def refine(neighbors, colour) -> list:
     """The coarsest equitable partition refining `colour`, as colour numbers.
@@ -412,129 +311,39 @@ def refine(neighbors, colour) -> list:
         classes = len(palette)
 
 
-def _joint_refinement(g: Graph, h: Graph, seed_g=None, seed_h=None):
-    """Stable joint colouring of both vertex sets; None if multisets split.
+# -- witnesses -------------------------------------------------------------
 
-    One `refine` of the disjoint union, so both sides share the palette.
-    Refinement only splits classes, so checking the stable colours suffices.
-    """
-    seed = [(gr.has_loop(v), sd[v] if sd else None)
-            for gr, sd in ((g, seed_g), (h, seed_h)) for v in range(gr.n)]
-    colour = refine(g.neighbors + tuple(tuple([w + g.n for w in nbrs])
-                                        for nbrs in h.neighbors), seed)
-    cg, ch = colour[:g.n], colour[g.n:]
-    return (cg, ch) if sorted(cg) == sorted(ch) else None
+class Permutation:
+    """A bijection of 0..n-1; mapping[v] is the image of v."""
 
+    __slots__ = ("mapping",)
 
-def _match(g: Graph, h: Graph, colors, find_all: bool):
-    """Backtracking search for colour/adjacency preserving bijections."""
-    cg, ch = colors
-    n = g.n
-    class_size = {}
-    for c in ch:
-        class_size[c] = class_size.get(c, 0) + 1
-    sigma = [None] * n
-    used = [False] * n
-    found: list[Permutation] = []
+    def __init__(self, mapping):
+        self.mapping = tuple(mapping)
+        if sorted(self.mapping) != list(range(len(self.mapping))):
+            raise ValueError("not a permutation")
 
-    def pick():
-        best, score = None, None
-        for v in range(n):
-            if sigma[v] is not None:
-                continue
-            mapped = sum(1 for u in g.neighbors[v] if sigma[u] is not None)
-            s = (-mapped, class_size[cg[v]], v)
-            if score is None or s < score:
-                best, score = v, s
-        return best
+    def __call__(self, v: int) -> int:
+        return self.mapping[v]
 
-    def extend(depth: int) -> bool:
-        if depth == n:
-            perm = Permutation(sigma)
-            found.append(perm)
-            return not find_all
-        v = pick()
-        # candidates: intersect the H-neighbourhoods of the images of v's
-        # already-mapped neighbours (this is the forward adjacency check)
-        cand = None
-        mapped_nbrs = 0
-        for u in g.neighbors[v]:
-            t = sigma[u]
-            if t is not None:
-                mapped_nbrs += 1
-                s = h._nbr_sets[t]
-                cand = s if cand is None else cand & s
-        pool = sorted(cand) if cand is not None else range(n)
-        for w in pool:
-            if used[w] or ch[w] != cg[v]:
-                continue
-            if g.has_loop(v) != h.has_loop(w):
-                continue
-            # reverse direction: counting suffices, the forward check maps
-            # mapped G-neighbours injectively into mapped H-neighbours
-            if mapped_nbrs != sum(1 for t in h.neighbors[w] if used[t]):
-                continue
-            sigma[v] = w
-            used[w] = True
-            if extend(depth + 1):
-                return True
-            sigma[v] = None
-            used[w] = False
-        return False
+    def __len__(self):
+        return len(self.mapping)
 
-    extend(0)
-    return found
+    def __eq__(self, other):
+        return isinstance(other, Permutation) and self.mapping == other.mapping
+
+    def __hash__(self):
+        return hash(self.mapping)
+
+    def __repr__(self):
+        return f"Permutation{self.mapping}"
 
 
 def _verify_mapping(g: Graph, h: Graph, perm: Permutation) -> bool:
+    """True iff the bijection perm maps g onto h, checked in O(|E|)."""
     if g.n != h.n or len(g.edges) != len(h.edges):
         return False
     return all(h.adjacent(perm(u), perm(v)) for u, v in g.edges)
-
-
-def is_isomorphic(g: Graph, h: Graph):
-    """A Permutation mapping g onto h, or None.  Exact; capped at 64 vertices."""
-    if max(g.n, h.n) > ISO_CAP:
-        raise SizeCapExceeded(f"isomorphism test capped at {ISO_CAP} vertices")
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return None
-    if sorted(g.degrees) != sorted(h.degrees):
-        return None
-    classes_g = _twin_partition(g)
-    classes_h = _twin_partition(h)
-    profile = lambda cs, gr: sorted((tag, len(m), gr.has_loop(m[0])) for tag, m in cs)
-    if profile(classes_g, g) != profile(classes_h, h):
-        return None
-    qg, seeds_g = _twin_quotient(g, classes_g)
-    qh, seeds_h = _twin_quotient(h, classes_h)
-    colors = _joint_refinement(qg, qh, seeds_g, seeds_h)
-    if colors is None:
-        return None
-    found = _match(qg, qh, colors, find_all=False)
-    if not found:
-        return None
-    qperm = found[0]
-    mapping = [None] * g.n
-    for i, (_, members) in enumerate(classes_g):
-        for a, b in zip(sorted(members), sorted(classes_h[qperm(i)][1])):
-            mapping[a] = b
-    perm = Permutation(mapping)
-    if not _verify_mapping(g, h, perm):
-        raise InconsistencyError("quotient search returned a bad mapping")
-    return perm
-
-
-def automorphism_group(g: Graph) -> list[Permutation]:
-    """Every automorphism of g, sorted; capped at 16 vertices."""
-    if g.n > AUT_CAP:
-        raise SizeCapExceeded(f"automorphism enumeration capped at {AUT_CAP} vertices")
-    colors = _joint_refinement(g, g)
-    if colors is None:
-        raise InconsistencyError("refinement separated a graph from itself")
-    found = _match(g, g, colors, find_all=True)
-    if not all(_verify_mapping(g, g, perm) for perm in found):
-        raise InconsistencyError("automorphism search returned a bad mapping")
-    return sorted(found, key=lambda p: p.mapping)
 
 
 # -- export ----------------------------------------------------------------

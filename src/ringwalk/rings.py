@@ -153,6 +153,11 @@ class _LocalRing:
     def residue_field(self):
         return self if self.ideal_size == 1 else ResidueRing(self.p, 1)
 
+    def residue(self, x):
+        """The image of x in `residue_field()`: x itself in a field, else
+        its constant term mod p."""
+        return x if self.ideal_size == 1 else (x[0] % self.p,)
+
     def __repr__(self):
         return self.token
 

@@ -19,6 +19,11 @@ represents them all (the graph's characteristic polynomial is the
 component's raised to the number of components), and a transfer can never
 cross components.  Ring-level transfer positivity therefore means:
 connected and the component search found a pair.
+
+The structural witnesses are constructed from residues:
+`local_quadratic_splitting` and `unitary_isomorphism` send each
+element to a vertex named by its residue and its rank among the elements
+with that residue, and each map is checked edge by edge.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 from . import intpoly, walks
 from .errors import FormulaNotApplicable, InconsistencyError
-from .graphs import (Graph, Permutation, is_isomorphic, tensor_product,
+from .graphs import (Graph, Permutation, _verify_mapping, tensor_product,
                      quadratic_unitary_cayley_graph, unitary_cayley_graph)
 from .rings import ProductRing, enumerate_rings, is_s_ring, make_ring
 from .scalars import Surd, as_surd, sort_key
@@ -40,7 +45,8 @@ __all__ = [
     "quadratic_regime", "predicted_quadratic_spectrum",
     "predicted_periodic_unitary", "predicted_pst_unitary",
     "predicted_periodic_quadratic", "predicted_pst_quadratic",
-    "ideal_product", "local_quadratic_splitting", "verify_ring", "sweep",
+    "ideal_product", "local_quadratic_splitting", "unitary_isomorphism",
+    "verify_ring", "sweep",
 ]
 
 
@@ -283,13 +289,42 @@ def ideal_product(ring: ProductRing) -> int:
     return math.prod(ring.ideal_sizes)
 
 
+def _residue_keys(ring: ProductRing) -> list:
+    """(residue, rank) for each element of the ring, in vertex order.
+
+    The residue is the tuple of per-factor residues, which is the element's
+    image in `ring.residue_ring()`; the rank counts the elements before it
+    with the same residue.
+    """
+    seen: dict = {}
+    keys = []
+    for e in ring.elements():
+        res = tuple(f.residue(c) for f, c in zip(ring.factors, e.comps))
+        rank = seen.get(res, 0)
+        seen[res] = rank + 1
+        keys.append((res, rank))
+    return keys
+
+
+def _checked(g: Graph, h: Graph, perm: Permutation, what: str) -> Permutation:
+    if not _verify_mapping(g, h, perm):
+        raise InconsistencyError(f"{what}: the constructed witness is not an "
+                                 f"isomorphism")
+    return perm
+
+
 def local_quadratic_splitting(ring: ProductRing):
     """Witness that a local ring's square-connection graph splits.
 
-    For a local ring with odd residue size, the graph is isomorphic to the
-    residue field's graph tensored with the loop-complete block on the
-    ideal.  Returns (graph, model, permutation) with the explicit witness;
-    raises if the search fails (it must not) or the ring is out of scope.
+    For a local ring with odd residue size, a unit is a square iff its
+    residue is a square (Hensel), so x ~ y depends only on the residues of
+    x and y, and two elements with one residue are never adjacent.  The graph is
+    therefore the residue field's graph tensored with the loop-complete
+    block on the m elements of each residue class, and x maps to
+    (index of its residue) * m + (its rank within its class).  Returns
+    (graph, model, permutation); the permutation is checked edge by edge
+    and a failure raises InconsistencyError.  A ring out of scope raises
+    ValueError.
     """
     if not ring.is_local:
         raise ValueError(f"{ring.token} is not local")
@@ -300,11 +335,29 @@ def local_quadratic_splitting(ring: ProductRing):
     g = quadratic_unitary_cayley_graph(ring)
     base = quadratic_unitary_cayley_graph(ring.residue_ring())
     model = tensor_product(base, Graph.complete_pseudograph(m))
-    perm = is_isomorphic(g, model)
-    if perm is None:
-        raise InconsistencyError(
-            f"splitting isomorphism not found for {ring.token}")
-    return g, model, perm
+    index = {label.comps: i for i, label in enumerate(base.labels)}
+    perm = Permutation(index[res] * m + rank
+                       for res, rank in _residue_keys(ring))
+    return g, model, _checked(g, model, perm, f"splitting of {ring.token}")
+
+
+def unitary_isomorphism(a: ProductRing, b: ProductRing) -> Permutation:
+    """An isomorphism from the unit-connection graph of a to that of b.
+
+    x - y is a unit iff x and y differ in every residue (Akhtar et al.,
+    EJC 2009), so the graph depends only on the residue ring and on the
+    size of each residue class.  Rings with equal residue rings and equal
+    orders therefore have isomorphic graphs, and matching (residue, rank)
+    keys gives the map.  It is checked edge by edge, and a failure raises
+    InconsistencyError.  Other pairs raise ValueError.
+    """
+    if a.order != b.order or a.residue_ring() != b.residue_ring():
+        raise ValueError(f"{a.token} and {b.token} differ in order or "
+                         f"residue ring")
+    target = {key: v for v, key in enumerate(_residue_keys(b))}
+    perm = Permutation(target[key] for key in _residue_keys(a))
+    return _checked(unitary_cayley_graph(a), unitary_cayley_graph(b), perm,
+                    f"{a.token} ~ {b.token}")
 
 
 @dataclasses.dataclass(frozen=True)

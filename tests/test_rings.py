@@ -194,9 +194,24 @@ def test_truncated_ring_nilpotents():
             assert x * y == zero
 
 
-_specs = st.sampled_from(
-    ["Z4", "Z12", "G(2)", "GF(9)", "Z5 x Z13", "Z9", "GF(4) x Z3", "Zp[2,3]",
-     "Zp[3,3]", "GF(8)", "Z27", "Z2 x Z2 x Z2"])
+_SPECS = ["Z4", "Z12", "G(2)", "GF(9)", "Z5 x Z13", "Z9", "GF(4) x Z3",
+          "Zp[2,3]", "Zp[3,3]", "GF(8)", "Z27", "Z2 x Z2 x Z2"]
+_specs = st.sampled_from(_SPECS)
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_residue_is_a_homomorphism_onto_the_residue_field(spec):
+    for f in make_ring(spec).factors:
+        field = f.residue_field()
+        elts = list(f.elements())
+        res = {x: f.residue(x) for x in elts}
+        assert set(res.values()) == set(field.elements())
+        assert res[f.zero] == field.zero and res[f.one] == field.one
+        for x in elts:
+            assert f.is_unit(x) == (res[x] != field.zero)
+            for y in elts:
+                assert res[f.add(x, y)] == field.add(res[x], res[y])
+                assert res[f.mul(x, y)] == field.mul(res[x], res[y])
 
 
 @given(_specs, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),

@@ -2,10 +2,12 @@
 
 import pytest
 
-from ringwalk import intpoly, verify
+from ringwalk import intpoly, verify, walks
 from ringwalk.errors import FormulaNotApplicable
-from ringwalk.graphs import quadratic_unitary_cayley_graph
-from ringwalk.rings import make_ring
+from ringwalk.graphs import (quadratic_unitary_cayley_graph,
+                             unitary_cayley_graph)
+from ringwalk.rings import ProductRing, enumerate_rings, local_catalog, \
+    make_ring
 from ringwalk.scalars import as_surd, exact_str
 
 
@@ -162,6 +164,55 @@ def test_local_quadratic_splitting_guards():
         verify.local_quadratic_splitting(make_ring("Z15"))
     with pytest.raises(ValueError):
         verify.local_quadratic_splitting(make_ring("Z8"))
+
+
+def _maps_edges_onto(g, h, perm):
+    return (g.n == h.n == len(perm) and len(g.edges) == len(h.edges)
+            and all(h.adjacent(perm(u), perm(v)) for u, v in g.edges))
+
+
+def test_local_quadratic_splitting_to_order_243():
+    # every non-field local ring with odd residue size: Z_(p^k) and
+    # Zp[p,k] for p^k in 9, 25, 27, 49, 81, 121, 125, 169, 243
+    rings = [ProductRing([f]) for n in range(2, 244) for f in local_catalog(n)
+             if f.residue_size % 2 and f.ideal_size > 1]
+    assert len(rings) == 18
+    for ring in rings:
+        g, model, perm = verify.local_quadratic_splitting(ring)
+        assert _maps_edges_onto(g, model, perm), ring.token
+
+
+def test_unitary_isomorphism_on_catalog_pairs():
+    rings = enumerate_rings(64, cap=64)
+    graph = {}
+    pairs = transferred = 0
+    for i, a in enumerate(rings):
+        for b in rings[i + 1:]:
+            if a.order != b.order or a.residue_ring() != b.residue_ring():
+                continue
+            phi = verify.unitary_isomorphism(a, b)
+            for r in (a, b):
+                if r not in graph:
+                    graph[r] = unitary_cayley_graph(r)
+            g, h = graph[a], graph[b]
+            assert _maps_edges_onto(g, h, phi), (a.token, b.token)
+            pairs += 1
+            if a.order > 36 or not g.is_connected():
+                continue
+            pst_g = walks.find_pst(g, sources=range(g.n)).pairs
+            pst_h = walks.find_pst(h, sources=range(h.n)).pairs
+            assert {(phi(p.source), phi(p.target), p.time, p.phase)
+                    for p in pst_g} == {(p.source, p.target, p.time, p.phase)
+                                        for p in pst_h}, (a.token, b.token)
+            transferred += len(pst_h)
+    assert pairs and transferred
+
+
+def test_unitary_isomorphism_guards():
+    for a, b in (("Z9", "Z3 x Z3"), ("Z8", "Z4 x Z2"), ("Z3", "Z9"),
+                 ("Z2 x Z2", "Z4")):
+        with pytest.raises(ValueError):
+            verify.unitary_isomorphism(make_ring(a), make_ring(b))
 
 
 def test_verify_ring_unitary_z12():

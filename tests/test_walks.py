@@ -279,15 +279,9 @@ def test_decision_checks_survive_optimize_flag():
         "half = verify.PredictedSpectrum(((Fraction(1, 2), 1),), 1, 1, 'x')\n"
         "short = verify.PredictedSpectrum(((1, 1),), 1, 2, 'x')\n"
         "lone = verify.PredictedSpectrum(((Surd.sqrt(2), 1), (1, 1)), 1, 2, 'x')\n"
-        "c5 = graphs.Graph.cycle(5)\n"
-        "real_match = graphs._match\n"
-        "graphs._match = lambda *a, **k: [graphs.Permutation([0, 2, 1, 3, 4])]\n"
         "assert_free = [raises(half.charpoly), raises(short.charpoly),\n"
         "    raises(lone.charpoly),\n"
-        "    raises(lambda: verify._merge([(1, 1)], 1, 2, 'x')),\n"
-        "    raises(lambda: graphs.is_isomorphic(c5, c5)),\n"
-        "    raises(lambda: graphs.automorphism_group(c5))]\n"
-        "graphs._match = real_match\n"
+        "    raises(lambda: verify._merge([(1, 1)], 1, 2, 'x'))]\n"
         "real_divmod, real_cyclotomic = intpoly.divmod_monic, intpoly.cyclotomic\n"
         "intpoly.divmod_monic = lambda p, g: ((), (1,))\n"
         "assert_free.append(raises(lambda: intpoly.cyclotomic(97)))\n"
@@ -298,9 +292,23 @@ def test_decision_checks_survive_optimize_flag():
         "intpoly.divmod = lambda a, b: (0, 1)\n"
         "assert_free.append(raises(lambda: intpoly.charpoly_reference([[1]])))\n"
         "del intpoly.divmod\n"
-        "verify.is_isomorphic = lambda g, h: None\n"
-        "z9 = rings.make_ring('Z9')\n"
-        "assert_free.append(raises(lambda: verify.local_quadratic_splitting(z9)))\n"
+        "real_keys = verify._residue_keys\n"
+        "def swap_first_key(same_residue):\n"
+        "    def keys(ring):\n"
+        "        out = real_keys(ring)\n"
+        "        j = next(i for i in range(1, len(out))\n"
+        "                 if (out[i][0] == out[0][0]) == same_residue)\n"
+        "        out[0], out[j] = out[j], out[0]\n"
+        "        return out\n"
+        "    return keys\n"
+        "z9, z12 = rings.make_ring('Z9'), rings.make_ring('Z12')\n"
+        "z3g2 = rings.make_ring('Z3 x G(2)')\n"
+        "witnesses = (lambda: verify.local_quadratic_splitting(z9),\n"
+        "             lambda: verify.unitary_isomorphism(z12, z3g2))\n"
+        "for same_residue in (False, True):\n"
+        "    verify._residue_keys = swap_first_key(same_residue)\n"
+        "    assert_free += [raises(w) != same_residue for w in witnesses]\n"
+        "verify._residue_keys = real_keys\n"
         "real_irreducible = rings._is_irreducible\n"
         "rings._is_irreducible = lambda f, p: False\n"
         "assert_free.append(raises(lambda: rings.GaloisField(2, 3)))\n"
