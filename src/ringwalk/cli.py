@@ -132,10 +132,10 @@ def _spectrum_block(report) -> dict:
     }
 
 
-def _component_report(g, labels, tau_max, period_bound) -> dict:
+def _component_report(g, labels) -> dict:
     spectral = walks.classify_spectrum(g)
-    period = walks.period(g, bound_cap=period_bound)
-    pst = walks.find_pst(g, tau_max=tau_max)
+    period = walks.period(g)
+    pst = walks.find_pst(g)
     return {
         "vertices": [str(labels[v]) for v in range(g.n)],
         "size": g.n,
@@ -154,7 +154,7 @@ def _component_report(g, labels, tau_max, period_bound) -> dict:
     }
 
 
-def _walk_report(spec: str, family: str, tau_max, period_bound) -> dict:
+def _walk_report(spec: str, family: str) -> dict:
     ring = make_ring(spec, cap=_cap())
     g = _family_graph(ring, family)
     components = g.connected_components()
@@ -162,7 +162,7 @@ def _walk_report(spec: str, family: str, tau_max, period_bound) -> dict:
     for comp in components:
         sub = g if len(components) == 1 else g.induced_subgraph(comp)
         labels = [g.labels[v] for v in comp]
-        reports.append(_component_report(sub, labels, tau_max, period_bound))
+        reports.append(_component_report(sub, labels))
     return {
         "ring": ring.token,
         "family": family,
@@ -292,10 +292,6 @@ def _build_parser() -> _Parser:
     walk.add_argument("spec")
     walk.add_argument("--family", choices=_FAMILIES, default="unitary")
     walk.add_argument("--format", choices=("json", "text"), default="json")
-    walk.add_argument("--tau-max", type=int, default=None,
-                      help="transfer search bound for non-periodic graphs")
-    walk.add_argument("--period-bound", type=int, default=None,
-                      help="refuse period confirmation beyond this bound")
     walk.add_argument("--out")
 
     ver = sub.add_parser("verify", help="sweep predictions vs the walk engine")
@@ -308,7 +304,7 @@ def _build_parser() -> _Parser:
 
 
 def _positive(parser, name, value):
-    if value is not None and value <= 0:
+    if value <= 0:
         parser.error(f"{name} must be positive")
 
 
@@ -327,11 +323,11 @@ def _to_json(obj) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    failed = False
     try:
         if args.command == "ring":
             rep = _ring_report(args.spec)
-            _emit(_to_json(rep) if args.format == "json" else _ring_text(rep),
-                  args.out)
+            text = _to_json(rep) if args.format == "json" else _ring_text(rep)
         elif args.command == "graph":
             ring = make_ring(args.spec, cap=_cap())
             g = _family_graph(ring, args.family)
@@ -339,25 +335,17 @@ def main(argv=None) -> int:
             if not rep["connected"]:
                 print(f"warning: graph is disconnected "
                       f"({rep['components']} components)", file=sys.stderr)
-            if args.format == "json":
-                _emit(_to_json(rep), args.out)
-            else:
-                _emit(to_dot(g, name=f"{args.family}_{ring.token}"), args.out)
+            text = _to_json(rep) if args.format == "json" else \
+                to_dot(g, name=f"{args.family}_{ring.token}")
         elif args.command == "walk":
-            _positive(parser, "--tau-max", args.tau_max)
-            _positive(parser, "--period-bound", args.period_bound)
-            rep = _walk_report(args.spec, args.family, args.tau_max,
-                               args.period_bound)
-            _emit(_to_json(rep) if args.format == "json" else _walk_text(rep),
-                  args.out)
+            rep = _walk_report(args.spec, args.family)
+            text = _to_json(rep) if args.format == "json" else _walk_text(rep)
         elif args.command == "verify":
             _positive(parser, "--max-order", args.max_order)
             _positive(parser, "--tau-max", args.tau_max)
             rep = _verify_report(args.max_order, args.family, args.tau_max)
-            _emit(_to_json(rep) if args.format == "json" else _verify_text(rep),
-                  args.out)
-            if rep["status"] == "fail":
-                return 2
+            text = _to_json(rep) if args.format == "json" else _verify_text(rep)
+            failed = rep["status"] == "fail"
     except SizeCapExceeded as exc:
         print(f"ringwalk: size cap exceeded: {exc}", file=sys.stderr)
         return 3
@@ -367,7 +355,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ringwalk: error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    try:
+        _emit(text, args.out)
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"ringwalk: error: {exc}", file=sys.stderr)
+        return 1
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ that scaled form.  Since N U^tau N* = T_tau(P), the vertex-level questions
 (is T_tau(P) e_0 = e_0, is it +-e_v) need only k^tau T_tau(P) e_0, an
 integer Chebyshev recurrence in A.  On a vertex-transitive graph it runs
 on the quotient of the coarsest equitable partition with {0} as a cell,
-a handful of cells instead of n vertices or 2|E| arcs.  The spectral
+a handful of cells instead of n vertices or 2|E| arcs; other graphs run
+it on all n vertices, scaled by L = lcm(degrees) if irregular.  The spectral
 classifier factors the characteristic polynomial of A over the integers
 (computed from the additive characters when the graph carries a verified
 Cayley structure, by dense reduction otherwise) and recognises every
@@ -25,7 +26,7 @@ eigenvalue mu = lambda/k that is twice-a-cosine of a rational angle: those
 are the only spectra a periodic walk can have.
 
 Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
-filled lazily, holds the arc space, the equitable quotient at vertex 0
+filled lazily, holds the arc space, the probe's equitable quotient
 (computed from the adjacency alone), the classifier's `SpectralReport`
 (which carries the characteristic polynomial) and the brute-force memo:
 the horizon searched and the least period found within it.  A cached
@@ -38,8 +39,8 @@ recomputing would, and `period()` still compares them on every call.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
-from math import gcd, isqrt
 
 from . import intpoly
 from .errors import InconsistencyError, SizeCapExceeded
@@ -111,11 +112,8 @@ class _ArcSpace:
         for i, (o, t) in enumerate(self.arcs):
             heads[t].append(i)
         self.heads_at = tuple(tuple(h) for h in heads)
-        d = 1
-        for deg in g.degrees:
-            d = d * deg // gcd(d, deg)
-        self.scale = d
-        self.coef = tuple(2 * d // g.degrees[v] for v in range(g.n))
+        self.scale = math.lcm(*g.degrees)
+        self.coef = tuple(2 * self.scale // g.degrees[v] for v in range(g.n))
         self.size = len(self.arcs)
 
     def apply_scaled(self, x):
@@ -150,15 +148,17 @@ class _Quotient:
     """An equitable partition of the vertices and its quotient matrix B.
 
     `cells` are tuples of vertices ordered by their least vertex; rows[i]
-    lists the pairs (j, B[i][j]) with B[i][j] != 0, the number of
-    neighbours that each vertex of cell i has in cell j.  Equitable means
-    A C = C B for the n x c characteristic matrix C of the cells, so any
-    polynomial in A maps a vector constant on cells to one constant on
-    cells, computed on the c cells alone.
+    lists the pairs (j, B[i][j]) with B[i][j] != 0: scale // deg(cell i)
+    times the number of neighbours that each vertex of cell i has in cell
+    j, for `scale` L = lcm(degrees).  Equitable means M C = C B for
+    M = L D^-1 A and the n x c characteristic matrix C of the cells, so any
+    polynomial in M maps a vector constant on cells to one constant on
+    cells, computed on the c cells alone.  On a k-regular graph M = A.
     """
 
     cells: tuple
     rows: tuple
+    scale: int
 
 
 @dataclasses.dataclass
@@ -167,10 +167,9 @@ class WalkAnalysis:
 
     It hangs off `Graph.walk_analysis` and dies with the graph.  Each field
     has one writer and is read back only by it: `spectrum` by
-    classify_spectrum, `searched` by bruteforce_period.  `quotient`, the
-    coarsest equitable partition with {0} as a cell, depends only on the
-    adjacency; brute force and the transfer search read it, the
-    classifier never does.
+    classify_spectrum, `searched` by bruteforce_period.  `quotient` (see
+    `_quotient`) depends only on the adjacency; brute force and the
+    transfer search read it, the classifier never does.
     """
 
     arcspace: _ArcSpace | None = None
@@ -193,10 +192,12 @@ def _arcspace(g: Graph) -> _ArcSpace:
 
 
 def _quotient(g: Graph) -> _Quotient:
-    """The coarsest equitable partition in which {0} is a cell, cached."""
+    """The probe's quotient, cached: the coarsest equitable partition with
+    {0} as a cell on a vertex-transitive graph, else the discrete one."""
     analysis = _analysis(g)
     if analysis.quotient is None:
-        analysis.quotient = _equitable_quotient(g, _refine(g))
+        colour = _refine(g) if g.vertex_transitive else range(g.n)
+        analysis.quotient = _equitable_quotient(g, colour)
     return analysis.quotient
 
 
@@ -206,7 +207,7 @@ def _refine(g: Graph) -> list:
 
 
 def _equitable_quotient(g: Graph, colour) -> _Quotient:
-    """The quotient of the partition of the vertices by `colour`.
+    """The quotient (see `_Quotient`) of the partition by `colour`.
 
     Cells are numbered by their least vertex.  Every vertex is checked, in
     O(|E|): {0} must be a cell and each vertex must have its cell's
@@ -229,22 +230,23 @@ def _equitable_quotient(g: Graph, colour) -> _Quotient:
                 f"the partition {cells} of {g!r} is not equitable at vertex {v}")
     if cells[0] != [0]:
         raise InconsistencyError(f"{{0}} is not a cell of the partition of {g!r}")
-    return _Quotient(tuple(map(tuple, cells)),
-                     tuple(tuple(sorted(r.items())) for r in rows))
+    scale = math.lcm(*g.degrees)
+    return _Quotient(tuple(map(tuple, cells)), tuple(
+        tuple((j, b * scale // g.degrees[c[0]]) for j, b in sorted(r.items()))
+        for c, r in zip(cells, rows)), scale)
 
 
-def _chebyshev_cells(q: _Quotient, start: int, k: int, bound: int):
-    """Yield X_tau = k^tau T_tau(P) e_start on the cells, tau = 1..bound.
+def _chebyshev_cells(q: _Quotient, x0, bound: int):
+    """Yield X_tau = L^tau T_tau(D^-1 A) x0 on the cells, tau = 1..bound.
 
-    `start` is a singleton cell.  X_0 = e_start, X_1 = B X_0 and
-    X_(tau+1) = 2 B X_tau - k^2 X_(tau-1), in integers; the vertex vector
-    k^tau T_tau(P) e_v for the vertex v of that cell takes the value
-    X_tau[i] on every vertex of cell i.
+    `x0` is a vector on the cells and L = q.scale.  X_0 = x0, X_1 = B X_0
+    and X_(tau+1) = 2 B X_tau - L^2 X_(tau-1), in integers; the vertex
+    vector L^tau T_tau(D^-1 A) C x0 takes the value X_tau[i] on every
+    vertex of cell i.  On a k-regular graph L = k and D^-1 A = P.
     """
-    prev = [0] * len(q.rows)
-    prev[start] = 1
+    prev = x0
     cur = [sum(b * prev[j] for j, b in row) for row in q.rows]
-    k2 = k * k
+    k2 = q.scale ** 2
     for tau in range(1, bound + 1):
         if tau > 1:
             prev, cur = cur, [2 * sum(b * cur[j] for j, b in row) - k2 * p
@@ -331,15 +333,18 @@ def bruteforce_period(g: Graph, tau_max: int):
     A probe rules out most tau cheaply, and each tau that survives it is
     confirmed column by column, exactly, before it is reported.
 
-    On a vertex-transitive graph the probe runs on the equitable quotient
-    at vertex 0 (`_quotient`).  U^tau = I gives T_tau(P) = N U^tau N* =
-    N N* = I, so T_tau(P) e_0 = e_0, and a cell vector X_tau (see
-    `_chebyshev_cells`) other than k^tau e_0 rules tau out, at O(c^2) per
-    step for c cells instead of O(|E|).  The arc space is built at the
-    first survivor only, so an aperiodic graph never builds it.  Other
-    graphs walk one probe vector through the scaled evolution on all 2|E|
-    arcs; a mismatch at tau certifies U^tau != I.  Both probes read only
-    the adjacency.
+    The probe runs at the vertex level, on `_quotient(g)`.  U^tau = I gives
+    T_tau(P) = N U^tau N* = N N* = I, hence T_tau(D^-1 A) =
+    D^-1/2 T_tau(P) D^1/2 = I and X_tau = L^tau x0 (see
+    `_chebyshev_cells`); any other X_tau rules tau out.  On a
+    vertex-transitive graph x0 = e_0 on the quotient at vertex 0, at
+    O(c^2) per step for c cells; e_0 meets every eigenspace there, so an
+    aperiodic walk has no survivor.  Any other graph takes the discrete
+    partition, at O(|E|) per step, and x0 = (1, 2, 4, ..., 2^(n-1)): a
+    start with no component along an eigenvector lets tau through
+    wrongly, as (1, ..., n), linear in coordinates, does on the unitary
+    graph of Z3 x Z3.  The arc space is built at the first survivor only.
+    The probe reads only the adjacency.
 
     Confirmation uses the graph's symmetry, never its spectrum, so this
     route stays independent of the classifier.  An automorphism of the
@@ -371,28 +376,15 @@ def bruteforce_period(g: Graph, tau_max: int):
 def _search_period(g: Graph, tau_max: int):
     """The probe search behind bruteforce_period, without the memo."""
     _check_walkable(g)
-    if not g.vertex_transitive:
-        return _search_period_on_arcs(_arcspace(g), tau_max)
-    k = g.regularity
-    target = 1
-    for tau, x in enumerate(_chebyshev_cells(_quotient(g), 0, k, tau_max), 1):
-        target *= k
-        if x[0] == target and not any(x[1:]):
-            ar = _arcspace(g)
-            if _power_is_identity(ar, tau, _confirmation_arcs(ar)):
-                return tau
-    return None
-
-
-def _search_period_on_arcs(ar: _ArcSpace, tau_max: int):
-    """The probe on all 2|E| arcs, for graphs not known vertex-transitive."""
-    probe = list(range(1, ar.size + 1))
-    x = probe[:]
+    q = _quotient(g)
+    x0 = ([1] + [0] * (len(q.cells) - 1) if g.vertex_transitive
+          else [2 ** v for v in range(g.n)])
     factor = 1
-    for tau in range(1, tau_max + 1):
-        x = ar.apply_scaled(x)
-        factor *= ar.scale
-        if all(a == factor * b for a, b in zip(x, probe)):
+    for tau, x in enumerate(_chebyshev_cells(q, x0, tau_max), 1):
+        factor *= q.scale
+        # cell 0 first keeps the test O(1) on almost every step
+        if x[0] == factor * x0[0] and all(a == factor * b for a, b in zip(x, x0)):
+            ar = _arcspace(g)
             if _power_is_identity(ar, tau, _confirmation_arcs(ar)):
                 return tau
     return None
@@ -478,10 +470,7 @@ class SpectralReport:
     def period_bound(self):
         if not self.periodic:
             return None
-        out = 2
-        for line in self.lines:
-            out = out * line.angle_order // gcd(out, line.angle_order)
-        return out
+        return math.lcm(2, *(line.angle_order for line in self.lines))
 
     def eigenvalues(self):
         """Distinct (mu, multiplicity) pairs; degree > 2 lines raise."""
@@ -496,8 +485,16 @@ class SpectralReport:
 def _is_square(n: int) -> bool:
     if n < 0:
         return False
-    r = isqrt(n)
+    r = math.isqrt(n)
     return r * r == n
+
+
+def _divide_out(residual, factor):
+    """(residual / factor^m, m) for the largest m with factor^m | residual."""
+    mult = 0
+    while (q := intpoly.try_divide(residual, factor)) is not None:
+        residual, mult = q, mult + 1
+    return residual, mult
 
 
 def _scaled_cos_poly(n: int, k: int):
@@ -549,13 +546,7 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
     for r in range(k, -k - 1, -1):
         if r == 0:
             continue
-        mult = 0
-        while True:
-            q = intpoly.try_divide(residual, (-r, 1))
-            if q is None:
-                break
-            residual = q
-            mult += 1
+        residual, mult = _divide_out(residual, (-r, 1))
         if mult:
             mu = Fraction(r, k)
             order = _ALLOWED_RATIONAL.get(mu)
@@ -577,13 +568,7 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
                 # a non-square discriminant leaves Q(+-1) nonzero
                 if at_one % (1 - t + s) or at_minus_one % (1 + t + s):
                     continue
-                mult = 0
-                while True:
-                    q = intpoly.try_divide(residual, (s, -t, 1))
-                    if q is None:
-                        break
-                    residual = q
-                    mult += 1
+                residual, mult = _divide_out(residual, (s, -t, 1))
                 if mult:
                     root = Surd.sqrt(disc)
                     for lam in ((t + root) / 2, (t - root) / 2):
@@ -606,13 +591,7 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
             if 3 <= deg_n <= d:
                 scaled = _scaled_cos_poly(n_cand, k)
                 if scaled is not None:
-                    mult = 0
-                    while True:
-                        q = intpoly.try_divide(residual, scaled)
-                        if q is None:
-                            break
-                        residual = q
-                        mult += 1
+                    residual, mult = _divide_out(residual, scaled)
                     if mult:
                         lines.append(SpectralLine(None, mult, deg_n, True,
                                                   n_cand, scaled))
@@ -637,11 +616,12 @@ def _charpoly(g: Graph) -> tuple:
     return intpoly.cayley_charpoly(g.cayley[0], conn, g.n)
 
 
-def period(g: Graph, bound_cap: int | None = None):
+def period(g: Graph):
     """The exact least period of U, or None if the walk is not periodic.
 
     The classifier supplies the divisor bound (lcm of the root-of-unity
-    orders), then the least tau is confirmed by exact powering.  The two
+    orders), then the least tau is confirmed by exact powering, within
+    bruteforce_period's TAU_CAP (SizeCapExceeded beyond it).  The two
     routes are independent; if brute force finds no period dividing the
     bound, InconsistencyError is raised (a check that survives python -O).
     """
@@ -649,8 +629,6 @@ def period(g: Graph, bound_cap: int | None = None):
     if not report.periodic:
         return None
     bound = report.period_bound
-    if bound_cap is not None and bound > bound_cap:
-        raise SizeCapExceeded(f"period bound {bound} exceeds cap {bound_cap}")
     tau = bruteforce_period(g, bound)
     if tau is None or bound % tau:
         raise InconsistencyError(
@@ -700,7 +678,8 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
     constant on each cell, so it is +-k^tau e_v exactly when one cell is
     nonzero, with value +-k^tau, and that cell is a singleton {v}, v != 0.
     Explicit `sources`, and graphs not known to be vertex-transitive, are
-    searched from each source on all n vertices.
+    searched from each source on the discrete partition, whose quotient is
+    A; a source outside range(g.n) raises ValueError.
     """
     if not g.is_regular or not g.is_connected():
         raise ValueError("the transfer search needs a connected regular graph")
@@ -718,18 +697,20 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
             raise SizeCapExceeded(f"tau_max {tau_max} exceeds cap {TAU_CAP}")
         bound = tau_max
     # Each source u is the singleton cell number u: vertex 0 of the
-    # quotient, or any vertex of the discrete partition, whose quotient is A.
+    # quotient, or any vertex of the discrete partition.
     if sources is None and g.vertex_transitive:
         sources, q = (0,), _quotient(g)
     else:
         sources = tuple(range(g.n)) if sources is None else tuple(sources)
-        q = _Quotient(tuple((v,) for v in range(g.n)),
-                      tuple(tuple((w, 1) for w in row) for row in g.neighbors))
+        q = _equitable_quotient(g, range(g.n))
     k = g.regularity
     hits = set()
     for u in sources:
+        if u not in range(g.n):
+            raise ValueError(f"source {u!r} is not a vertex of {g!r}")
+        x0 = [int(i == u) for i in range(len(q.cells))]
         target = 1
-        for tau, x in enumerate(_chebyshev_cells(q, u, k, bound), 1):
+        for tau, x in enumerate(_chebyshev_cells(q, x0, bound), 1):
             target *= k
             nz = [i for i, a in enumerate(x) if a]
             if len(nz) == 1 and abs(x[nz[0]]) == target:

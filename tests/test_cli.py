@@ -112,17 +112,32 @@ def test_bad_ring_spec_exits_one(capsys):
 
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
-        cli.main(["walk", "Z12", "--tau-max", "0"])
+        cli.main(["verify", "--tau-max", "0"])
     assert info.value.code == 1
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+    for flag in ("--tau-max", "--period-bound"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["walk", "Z12", flag, "5"])
+        assert info.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    for argv in (["ring", "Z12", "--out", str(tmp_path / "missing" / "x.json")],
+                 ["walk", "Z12", "--out", str(tmp_path)]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert captured.err.startswith("ringwalk: error: ")
+        assert "Traceback" not in captured.err
 
 
 def test_order_cap_exits_three(capsys, monkeypatch):
     code, _ = _run(capsys, "walk", "Z37")
     assert code == 3
     monkeypatch.setenv("GROVER_RING_CAP", "100")
-    code, out = _run(capsys, "walk", "Z37", "--tau-max", "10")
+    code, out = _run(capsys, "walk", "Z37")
     assert code == 0
 
 

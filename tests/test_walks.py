@@ -114,28 +114,32 @@ def test_reduced_confirmation_matches_all_columns():
     assert checked > 0
 
 
-def _catalog_components():
-    """Every component of both families' graphs on the rings of order <= 36."""
-    for ring in enumerate_rings(36):
+def _catalog_components(order):
+    """Every component of both families' graphs on the rings up to `order`."""
+    for ring in enumerate_rings(order):
         for build in (unitary_cayley_graph, quadratic_unitary_cayley_graph):
             g = build(ring)
             for comp in g.connected_components():
                 yield (ring.token, build.__name__, comp[0]), g.induced_subgraph(comp)
 
 
-def test_quotient_routes_agree_with_arc_probe_and_vertex_search():
+def test_quotient_routes_agree_with_the_discrete_vertex_search():
+    """The quotient at 0 against the copy without a Cayley structure, which
+    probes on the discrete partition and confirms on all arcs."""
     small = [Graph.cycle(n) for n in range(3, 13)] + [
         Graph.complete(n) for n in range(2, 13)]
-    cases = list(_catalog_components()) + [
+    cases = list(_catalog_components(24)) + [
         (g.name, g) for g in small + [tensor_product(Graph.cycle(4), Graph.complete(3))]]
     periodic = 0
     for name, g in cases:
         assert g.vertex_transitive, name
+        bare = Graph.from_adjacency(g.adjacency_matrix())
+        assert not bare.vertex_transitive, name
         bound = walks.classify_spectrum(g).period_bound
         periodic += bound is not None
         for horizon in {120, bound or 120}:
-            assert walks._search_period(g, horizon) == walks._search_period_on_arcs(
-                walks._arcspace(g), horizon), (name, horizon)
+            assert walks._search_period(g, horizon) == walks._search_period(
+                bare, horizon), (name, horizon)
         assert walks.find_pst(g).pairs == walks.find_pst(g, sources=(0,)).pairs, name
     assert periodic > 100
 
@@ -148,15 +152,20 @@ def test_cell_recurrence_matches_chebyshev_oracle():
         q = walks._quotient(g)
         cell = {v: i for i, members in enumerate(q.cells) for v in members}
         p, k = walks.discriminant(g), g.regularity
-        for tau, x in enumerate(walks._chebyshev_cells(q, 0, k, 10), 1):
+        start = [1] + [0] * (len(q.cells) - 1)
+        for tau, x in enumerate(walks._chebyshev_cells(q, start, 10), 1):
             assert [x[cell[v]] for v in range(g.n)] == [
                 k ** tau * a for a in walks.chebyshev_apply(p, 0, tau)], (g, tau)
 
 
 def test_aperiodic_probe_builds_no_arc_space(monkeypatch):
-    g = quadratic_unitary_cayley_graph(make_ring("Z101"))
-    assert walks.bruteforce_period(g, 120) is None
-    assert g.walk_analysis.arcspace is None
+    # the copy without a Cayley structure takes the discrete partition,
+    # where a start linear in the coordinates, (1, ..., 9), survives tau = 3
+    bare = Graph.from_adjacency(
+        unitary_cayley_graph(make_ring("Z3 x Z3")).adjacency_matrix())
+    for g in (quadratic_unitary_cayley_graph(make_ring("Z101")), _petersen(), bare):
+        assert walks.bruteforce_period(g, 120) is None
+        assert g.walk_analysis.arcspace is None
     probed = []
     real = walks.bruteforce_period
 
@@ -200,6 +209,43 @@ def test_graph_without_action_confirms_on_all_columns():
     ar = walks._arcspace(bare)
     assert walks._confirmation_arcs(ar) == list(range(ar.size))
     assert walks.period(bare) == walks.period(cayley) == 4
+
+
+def _least_identity_power(g, horizon):
+    """The least tau <= horizon with U^tau = I, by dense matrix products."""
+    u = walks.time_evolution(g)
+    power = u
+    for tau in range(1, horizon + 1):
+        if power.is_identity:
+            return tau
+        power = power.matmul(u)
+    return None
+
+
+def test_bruteforce_period_on_irregular_graphs():
+    def bipartite(m, n):
+        return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+    def path(n):
+        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+    known = [(bipartite(1, n), 4) for n in (2, 3, 4, 5)] + [
+        (bipartite(2, 3), 4), (bipartite(3, 4), 4)] + [
+        (path(n), 2 * (n - 1)) for n in range(3, 7)]
+    rng = random.Random(17)
+    drawn = []
+    while len(drawn) < 6:
+        base = nx.gnp_random_graph(rng.randrange(4, 7), 0.5,
+                                   seed=rng.randrange(10 ** 6))
+        g = Graph(base.number_of_nodes(), list(base.edges()))
+        if nx.is_connected(base) and not g.is_regular:
+            drawn.append((g, None))
+    for g, expected in known + drawn:
+        assert not g.is_regular
+        tau = walks.bruteforce_period(g, 12)
+        assert tau == _least_identity_power(g, 12), g.edges
+        if expected is not None:
+            assert tau == expected, g.edges
 
 
 def test_period_raises_when_routes_disagree(monkeypatch):
@@ -575,6 +621,12 @@ def test_pst_requires_tau_max_when_not_pruned():
         walks.find_pst(pet)
     rep = walks.find_pst(pet, tau_max=30)
     assert not rep.has_pst and rep.bound == 30
+
+
+def test_pst_rejects_sources_outside_the_graph():
+    for source in (-1, 4):
+        with pytest.raises(ValueError):
+            walks.find_pst(Graph.cycle(4), sources=(source,))
 
 
 def test_pst_tau_cap():
