@@ -3,7 +3,9 @@
 Graphs are simple except for optional loops (a loop contributes 1 to the
 adjacency diagonal and 1 to the degree; the looped complete graph is what
 tensor identities over odd local rings need).  Vertices are 0..n-1 with
-optional hashable labels (ring elements, pairs, ...).
+optional hashable labels (ring elements, pairs, ...).  `Graph.neighbors`,
+one sorted tuple per vertex, is the only adjacency index: `adjacent` and
+`has_loop` bisect it, and ringwalk.walks numbers the arcs in its order.
 
 A graph may carry a Cayley structure `(moduli, coords)`: each vertex's
 coordinates in the abelian group Z_(m_1) x ... x Z_(m_r), recorded by the
@@ -22,6 +24,7 @@ An isomorphism is a `Permutation` that its caller constructs
 
 from __future__ import annotations
 
+import bisect
 import functools
 
 from .errors import InconsistencyError
@@ -69,7 +72,6 @@ class Graph:
             if u != v:
                 nbrs[v].append(u)
         self.neighbors = tuple(map(tuple, nbrs))
-        self._nbr_sets = tuple(map(frozenset, nbrs))
         self.degrees = tuple(map(len, nbrs))
         self.walk_analysis = None
         self._components = None
@@ -118,10 +120,7 @@ class Graph:
         return a
 
     def has_loop(self, u: int) -> bool:
-        return u in self._nbr_sets[u]
-
-    def degree(self, u: int) -> int:
-        return self.degrees[u]
+        return self.adjacent(u, u)
 
     @property
     def is_regular(self) -> bool:
@@ -132,7 +131,9 @@ class Graph:
         return self.degrees[0] if self.is_regular and self.n else None
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        nbrs = self.neighbors[u]
+        i = bisect.bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     @functools.cached_property
     def connection(self):

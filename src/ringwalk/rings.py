@@ -215,19 +215,11 @@ class GaloisField(_LocalRing):
 
     kind = "GF"
 
-    def __init__(self, p: int, n: int, modulus=None):
+    def __init__(self, p: int, n: int):
         if not _is_prime(p) or n < 2:
             raise ValueError(f"GF needs a prime p and n >= 2, got {p}^{n}")
-        if modulus is None:
-            modulus = self._smallest_irreducible(p, n)
-        else:
-            modulus = [c % p for c in modulus]
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree n")
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
         self.n = n
-        self.modulus = tuple(modulus)
+        self.modulus = tuple(self._smallest_irreducible(p, n))
         super().__init__(p, p, self.modulus, 1)
         self.token = f"GF({self.order})"
         self.signature = ("GF", p, n, self.modulus)

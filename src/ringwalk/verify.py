@@ -228,8 +228,8 @@ def predicted_periodic_unitary(ring: ProductRing) -> bool:
     return qs[0] in (2, 3) and all(q == 2 for q in qs[1:])
 
 
-_PST_UNITARY_SPECS = ("Z2", "Z4", "G(2)", "Z6", "Z12", "Z3 x G(2)")
-_pst_unitary_rings = None
+_PST_UNITARY = frozenset(make_ring(s).signature for s in (
+    "Z2", "Z4", "G(2)", "Z6", "Z12", "Z3 x G(2)"))
 
 
 def predicted_pst_unitary(ring: ProductRing) -> bool:
@@ -240,10 +240,7 @@ def predicted_pst_unitary(ring: ProductRing) -> bool:
     graph's component transfers are attributed to the smaller ring its
     component realizes, so this stays an equality test on the ring.
     """
-    global _pst_unitary_rings
-    if _pst_unitary_rings is None:
-        _pst_unitary_rings = tuple(make_ring(s) for s in _PST_UNITARY_SPECS)
-    return any(ring == r for r in _pst_unitary_rings)
+    return ring.signature in _PST_UNITARY
 
 
 def predicted_periodic_quadratic(ring: ProductRing):
@@ -262,7 +259,7 @@ def predicted_periodic_quadratic(ring: ProductRing):
     return len(qs) == 1 and qs[0] == 3
 
 
-_pst_quadratic_rings = None
+_PST_QUADRATIC = frozenset(make_ring(s).signature for s in ("Z10", "Z6"))
 
 
 def predicted_pst_quadratic(ring: ProductRing):
@@ -274,10 +271,7 @@ def predicted_pst_quadratic(ring: ProductRing):
     a residue size 2), so they are designated answers; strictly inside a
     regime nothing admits transfer, and other out-of-regime rings get None.
     """
-    global _pst_quadratic_rings
-    if _pst_quadratic_rings is None:
-        _pst_quadratic_rings = (make_ring("Z10"), make_ring("Z6"))
-    if any(ring == r for r in _pst_quadratic_rings):
+    if ring.signature in _PST_QUADRATIC:
         return True
     if quadratic_regime(ring) is None:
         return None

@@ -1,6 +1,7 @@
 """Exact Grover walk machinery on the arc space of a graph.
 
-Every edge {u, v} contributes the two arcs (u, v) and (v, u).  With o(a)
+Every edge {u, v} contributes the two arcs (u, v) and (v, u), numbered in
+CSR order (see `_ArcSpace`).  With o(a)
 and t(a) the origin and head of an arc, the boundary operator N has
 N[v][a] = 1/sqrt(deg v) iff v = t(a), the shift S maps each arc to its
 reverse, and the evolution U = S(2 N*N - I) has the rational entries
@@ -22,8 +23,9 @@ it on all n vertices, scaled by L = lcm(degrees) if irregular.  The spectral
 classifier factors the characteristic polynomial of A over the integers
 (computed from the additive characters when the graph carries a verified
 Cayley structure, by dense reduction otherwise) and recognises every
-eigenvalue mu = lambda/k that is twice-a-cosine of a rational angle: those
-are the only spectra a periodic walk can have.
+eigenvalue mu = lambda/k that is the cosine of a rational angle, by
+`two_cos_minimal_poly`: those are the only spectra a periodic walk can have.
+Each input precondition has one `_check_*` helper; TAU_CAP bounds tau.
 
 Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
 filled lazily, holds the arc space, the probe's equitable quotient
@@ -38,7 +40,9 @@ recomputing would, and `period()` still compares them on every call.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -88,30 +92,45 @@ class RationalMatrix:
                    for j, x in enumerate(row))
 
 
-def _check_walkable(g: Graph) -> None:
-    """Raise ValueError unless g is loopless, connected and has >= 2 vertices."""
+def _check_loopless(g: Graph) -> None:
     if any(g.has_loop(v) for v in range(g.n)):
         raise ValueError("the walk needs a loopless graph")
+
+
+def _check_connected(g: Graph) -> None:
     if g.n < 2 or not g.is_connected():
         raise ValueError("the walk needs a connected graph on >= 2 vertices")
 
 
+def _check_regular(g: Graph) -> int:
+    if not g.regularity:
+        raise ValueError("the walk needs a regular graph of degree >= 1")
+    return g.regularity
+
+
+def _check_tau(tau: int) -> None:
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if tau > TAU_CAP:
+        raise SizeCapExceeded(f"tau_max {tau} exceeds cap {TAU_CAP}")
+
+
 class _ArcSpace:
-    """Arc bookkeeping plus the integer-scaled evolution D*U."""
+    """Arc bookkeeping plus the integer-scaled evolution D*U, the arcs in
+    CSR order: (u, v) is offset[u] + the position of v in g.neighbors[u]."""
 
     def __init__(self, g: Graph):
-        _check_walkable(g)
+        _check_loopless(g)
+        _check_connected(g)
         self.n = g.n
-        # connected and a verified Cayley structure: vertex-transitive
-        self.transitive = g.connection is not None
-        self.arcs = tuple(sorted((u, v) for u, w in g.edges for (u, v) in ((u, w), (w, u))))
-        self.arc_index = {a: i for i, a in enumerate(self.arcs)}
-        self.inv = tuple(self.arc_index[(t, o)] for o, t in self.arcs)
-        self.origin = tuple(o for o, _ in self.arcs)
-        heads = [[] for _ in range(g.n)]
-        for i, (o, t) in enumerate(self.arcs):
-            heads[t].append(i)
-        self.heads_at = tuple(tuple(h) for h in heads)
+        offset = tuple(itertools.accumulate(g.degrees, initial=0))
+        self.arcs = tuple((u, v) for u in range(g.n) for v in g.neighbors[u])
+        self.inv = tuple(offset[v] + bisect.bisect_left(g.neighbors[v], u)
+                         for u, v in self.arcs)
+        self.origin = tuple(u for u, _ in self.arcs)
+        # the arcs into t are the reverses of the arcs leaving t
+        self.heads_at = tuple(self.inv[offset[t]:offset[t + 1]]
+                              for t in range(g.n))
         self.scale = math.lcm(*g.degrees)
         self.coef = tuple(2 * self.scale // g.degrees[v] for v in range(g.n))
         self.size = len(self.arcs)
@@ -272,6 +291,7 @@ def time_evolution(g: Graph) -> RationalMatrix:
 
 def evolution_power(g: Graph, tau: int) -> RationalMatrix:
     """U^tau, exactly, via the integer-scaled column recurrence."""
+    _check_tau(tau)
     ar = _arcspace(g)
     denom = ar.scale ** tau
     cols = [[Fraction(v, denom) for v in x]
@@ -281,20 +301,14 @@ def evolution_power(g: Graph, tau: int) -> RationalMatrix:
 
 def discriminant(g: Graph) -> RationalMatrix:
     """P = N S N* = A/k for a k-regular graph."""
-    if not g.is_regular:
-        raise ValueError("the discriminant P = A/k needs a regular graph")
-    k = g.regularity
-    if not k:
-        raise ValueError("the graph has no edges")
-    rows = tuple(tuple(Fraction(int(g.adjacent(u, v)), k) for v in range(g.n))
-                 for u in range(g.n))
+    k = _check_regular(g)
+    rows = tuple(tuple(Fraction(a, k) for a in row) for row in g.adjacency_matrix())
     return RationalMatrix(rows, tuple(range(g.n)))
 
 
 def chebyshev_apply(p: RationalMatrix, u: int, tau: int):
     """T_tau(P) e_u by the three-term recurrence, exact."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_tau(tau)
     prev = tuple(Fraction(int(i == u)) for i in range(p.n))
     if tau == 0:
         return prev
@@ -307,16 +321,16 @@ def chebyshev_apply(p: RationalMatrix, u: int, tau: int):
 
 def chebyshev_matrix(p: RationalMatrix, tau: int) -> RationalMatrix:
     """T_tau(P) as a matrix."""
+    _check_tau(tau)
     cols = [chebyshev_apply(p, u, tau) for u in range(p.n)]
     return RationalMatrix(tuple(zip(*cols)), p.index)
 
 
 def vertex_transfer_matrix(g: Graph, tau: int) -> RationalMatrix:
     """N U^tau N* for a regular graph (equals T_tau(P), checked in tests)."""
-    if not g.is_regular:
-        raise ValueError("the compressed power needs a regular graph")
+    _check_tau(tau)
+    k = _check_regular(g)
     ar = _arcspace(g)
-    k = g.regularity
     denom = k * ar.scale ** tau
     # column v: the scaled U^tau columns summed over the arcs with head v
     cols = [[Fraction(sum(x[a] for a in ar.heads_at[u]), denom)
@@ -357,10 +371,9 @@ def bruteforce_period(g: Graph, tau_max: int):
     The outcome is memoised on the graph as (horizon searched, least tau or
     None).  A later query is answered from it when it can be: a tau found
     answers every horizon, and "none up to T" answers every horizon <= T.
-    Any other query searches again.
+    Any other query searches again; a horizon outside 0..TAU_CAP raises.
     """
-    if tau_max > TAU_CAP:
-        raise SizeCapExceeded(f"tau_max {tau_max} exceeds cap {TAU_CAP}")
+    _check_tau(tau_max)
     analysis = _analysis(g)
     if analysis.searched is not None:
         horizon, tau = analysis.searched
@@ -375,7 +388,8 @@ def bruteforce_period(g: Graph, tau_max: int):
 
 def _search_period(g: Graph, tau_max: int):
     """The probe search behind bruteforce_period, without the memo."""
-    _check_walkable(g)
+    _check_loopless(g)
+    _check_connected(g)
     q = _quotient(g)
     x0 = ([1] + [0] * (len(q.cells) - 1) if g.vertex_transitive
           else [2 ** v for v in range(g.n)])
@@ -384,17 +398,16 @@ def _search_period(g: Graph, tau_max: int):
         factor *= q.scale
         # cell 0 first keeps the test O(1) on almost every step
         if x[0] == factor * x0[0] and all(a == factor * b for a, b in zip(x, x0)):
-            ar = _arcspace(g)
-            if _power_is_identity(ar, tau, _confirmation_arcs(ar)):
+            if _power_is_identity(_arcspace(g), tau, _confirmation_arcs(g)):
                 return tau
     return None
 
 
-def _confirmation_arcs(ar: _ArcSpace) -> list:
+def _confirmation_arcs(g: Graph) -> range:
     """Arcs whose columns certify U^tau = I (see bruteforce_period)."""
-    if ar.transitive:
-        return [a for a, o in enumerate(ar.origin) if o == 0]
-    return list(range(ar.size))
+    if g.vertex_transitive:
+        return range(g.degrees[0])
+    return range(_arcspace(g).size)
 
 
 def _power_is_identity(ar: _ArcSpace, tau: int, arcs) -> bool:
@@ -408,26 +421,6 @@ def _power_is_identity(ar: _ArcSpace, tau: int, arcs) -> bool:
 
 
 # -- spectral classification ----------------------------------------------
-
-_ALLOWED_RATIONAL = {
-    Fraction(1): 1,
-    Fraction(-1): 2,
-    Fraction(1, 2): 6,
-    Fraction(-1, 2): 3,
-    Fraction(0): 4,
-}
-
-_ALLOWED_QUADRATIC = {
-    Surd.sqrt(3) / 2: 12,
-    -Surd.sqrt(3) / 2: 12,
-    Surd.sqrt(2) / 2: 8,
-    -Surd.sqrt(2) / 2: 8,
-    (Surd.sqrt(5) - 1) / 4: 5,
-    (-Surd.sqrt(5) - 1) / 4: 5,
-    (Surd.sqrt(5) + 1) / 4: 10,
-    (1 - Surd.sqrt(5)) / 4: 10,
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class SpectralLine:
@@ -510,14 +503,20 @@ def _scaled_cos_poly(n: int, k: int):
     return tuple(out)
 
 
+def _angle_order(factor: tuple, k: int):
+    """The n with _scaled_cos_poly(n, k) == factor of degree 1 or 2, or
+    None; degree phi(n)/2 <= 2 forces n <= 12."""
+    return next((n for n in range(1, 13) if _scaled_cos_poly(n, k) == factor),
+                None)
+
+
 def classify_spectrum(g: Graph) -> SpectralReport:
     """Factor char(A) exactly and classify every mu = lambda/k.
 
     The verdict `periodic` is complete: the walk is periodic iff every
-    eigenvalue is twice a rational cosine (rational values in
-    {0, +-1, +-1/2}, quadratic values among +-sqrt(3)/2, +-sqrt(2)/2,
-    (+-1+-sqrt(5))/4, higher-degree Galois orbits of 2cos(2 pi j/n)), and
-    the classifier extracts exactly those factors, leaving anything else in
+    factor of char(A) is the minimal polynomial of k cos(2 pi/n) in lambda
+    for some n, read off `two_cos_minimal_poly(n)` (`_scaled_cos_poly`).
+    The classifier extracts exactly those factors, leaving anything else in
     `unfactored`.  Computed once per graph.
     """
     analysis = _analysis(g)
@@ -527,13 +526,8 @@ def classify_spectrum(g: Graph) -> SpectralReport:
 
 
 def _classify_spectrum(g: Graph) -> SpectralReport:
-    if not g.is_regular:
-        raise ValueError("spectral classification needs a regular graph")
-    if any(g.has_loop(v) for v in range(g.n)):
-        raise ValueError("spectral classification needs a loopless graph")
-    k = g.regularity
-    if not k:
-        raise ValueError("the graph has no edges")
+    k = _check_regular(g)
+    _check_loopless(g)
     cp = _charpoly(g)
     lines = []
     residual = cp
@@ -542,15 +536,14 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
         residual = residual[1:]
         zeros += 1
     if zeros:
-        lines.append(SpectralLine(Fraction(0), zeros, 1, True, 4))
-    for r in range(k, -k - 1, -1):
-        if r == 0:
-            continue
+        lines.append(SpectralLine(Fraction(0), zeros, 1, True,
+                                  _angle_order((0, 1), k)))
+    for r in range(k, -k - 1, -1):  # r = 0 divides nothing: the zeros are out
         residual, mult = _divide_out(residual, (-r, 1))
         if mult:
-            mu = Fraction(r, k)
-            order = _ALLOWED_RATIONAL.get(mu)
-            lines.append(SpectralLine(mu, mult, 1, order is not None, order))
+            order = _angle_order((-r, 1), k)
+            lines.append(SpectralLine(Fraction(r, k), mult, 1,
+                                      order is not None, order))
     if intpoly.degree(residual) >= 2:
         # x^2 - t x + s divides the residual only if s divides its constant
         # term (which only shrinks) and Q(1), Q(-1) divide R(1), R(-1)
@@ -571,10 +564,9 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
                 residual, mult = _divide_out(residual, (s, -t, 1))
                 if mult:
                     root = Surd.sqrt(disc)
+                    order = _angle_order((s, -t, 1), k)
                     for lam in ((t + root) / 2, (t - root) / 2):
-                        mu = lam / k
-                        order = _ALLOWED_QUADRATIC.get(mu)
-                        lines.append(SpectralLine(mu, mult, 2,
+                        lines.append(SpectralLine(lam / k, mult, 2,
                                                   order is not None, order))
                     c0 = abs(residual[0]) if residual and residual[0] else 1
                     at_one, at_minus_one = (intpoly.evaluate(residual, 1),
@@ -679,11 +671,13 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
     nonzero, with value +-k^tau, and that cell is a singleton {v}, v != 0.
     Explicit `sources`, and graphs not known to be vertex-transitive, are
     searched from each source on the discrete partition, whose quotient is
-    A; a source outside range(g.n) raises ValueError.
+    A; a source outside range(g.n) raises ValueError.  A given tau_max must
+    lie in 0..TAU_CAP, whether or not the search needs it.
     """
-    if not g.is_regular or not g.is_connected():
-        raise ValueError("the transfer search needs a connected regular graph")
-    report = classify_spectrum(g)
+    if tau_max is not None:
+        _check_tau(tau_max)
+    _check_connected(g)
+    report = classify_spectrum(g)  # checks that g is regular
     per = period(g) if report.periodic else None
     if report.periodic:
         bound = per - 1
@@ -693,8 +687,6 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
         if tau_max is None:
             raise ValueError("tau_max is required when the walk is not periodic "
                              "and the graph is not known vertex-transitive")
-        if tau_max > TAU_CAP:
-            raise SizeCapExceeded(f"tau_max {tau_max} exceeds cap {TAU_CAP}")
         bound = tau_max
     # Each source u is the singleton cell number u: vertex 0 of the
     # quotient, or any vertex of the discrete partition.
@@ -702,8 +694,8 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
         sources, q = (0,), _quotient(g)
     else:
         sources = tuple(range(g.n)) if sources is None else tuple(sources)
-        q = _equitable_quotient(g, range(g.n))
-    k = g.regularity
+        q = (_equitable_quotient(g, range(g.n)) if g.vertex_transitive
+             else _quotient(g))
     hits = set()
     for u in sources:
         if u not in range(g.n):
@@ -711,7 +703,7 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
         x0 = [int(i == u) for i in range(len(q.cells))]
         target = 1
         for tau, x in enumerate(_chebyshev_cells(q, x0, bound), 1):
-            target *= k
+            target *= report.k
             nz = [i for i, a in enumerate(x) if a]
             if len(nz) == 1 and abs(x[nz[0]]) == target:
                 cell = q.cells[nz[0]]

@@ -47,7 +47,7 @@ def test_loop_handling():
     g = Graph.complete_pseudograph(3)
     assert all(g.has_loop(v) for v in range(3))
     assert g.regularity == 3
-    assert g.degree(0) == 3
+    assert g.degrees[0] == 3
     assert g.vertex_transitive
 
 

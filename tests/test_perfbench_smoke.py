@@ -22,3 +22,15 @@ def test_traced_benchmark_pass_completes():
     assert done.returncode == 0, done.stderr[-2000:]
     last = json.loads(done.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0
+
+
+def test_untraced_benchmark_pass_completes():
+    """verify-36's raw passes take about 1 s, longer than the worker's speed
+    sampling interval, so the untraced path always has probes to report."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "verify-36",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    last = json.loads(done.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0

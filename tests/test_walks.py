@@ -19,7 +19,7 @@ from ringwalk import errors, intpoly, verify, walks
 from ringwalk.graphs import (Graph, quadratic_unitary_cayley_graph, tensor_product,
                              unitary_cayley_graph)
 from ringwalk.rings import enumerate_rings, make_ring
-from ringwalk.scalars import Surd
+from ringwalk.scalars import Surd, as_surd
 
 
 def _petersen() -> Graph:
@@ -103,7 +103,7 @@ def test_reduced_confirmation_matches_all_columns():
                 sub = g.induced_subgraph(comp)
                 assert sub.vertex_transitive, (ring.token, family.__name__)
                 ar = walks._arcspace(sub)
-                reduced = walks._confirmation_arcs(ar)
+                reduced = walks._confirmation_arcs(sub)
                 assert len(reduced) == sub.regularity
                 horizon = walks.classify_spectrum(sub).period_bound or 12
                 for tau in range(1, horizon + 1):
@@ -116,7 +116,7 @@ def test_reduced_confirmation_matches_all_columns():
 
 def _catalog_components(order):
     """Every component of both families' graphs on the rings up to `order`."""
-    for ring in enumerate_rings(order):
+    for ring in enumerate_rings(order, cap=order):
         for build in (unitary_cayley_graph, quadratic_unitary_cayley_graph):
             g = build(ring)
             for comp in g.connected_components():
@@ -207,7 +207,7 @@ def test_graph_without_action_confirms_on_all_columns():
     bare = Graph.from_adjacency(cayley.adjacency_matrix())
     assert bare.cayley is None and not bare.vertex_transitive
     ar = walks._arcspace(bare)
-    assert walks._confirmation_arcs(ar) == list(range(ar.size))
+    assert walks._confirmation_arcs(bare) == range(ar.size)
     assert walks.period(bare) == walks.period(cayley) == 4
 
 
@@ -311,7 +311,8 @@ def test_period_shares_one_search_and_one_charpoly(search_horizons,
 
 
 def test_decision_checks_survive_optimize_flag():
-    """Each decision-path check raises InconsistencyError, -O or not."""
+    """Each decision-path check raises InconsistencyError, -O or not, and
+    the tau gate raises for a negative and an over-cap tau."""
     code = (
         "from fractions import Fraction\n"
         "from ringwalk import cli, errors, graphs, intpoly, rings, verify, walks\n"
@@ -362,6 +363,26 @@ def test_decision_checks_survive_optimize_flag():
         "c4 = graphs.Graph.cycle(4)\n"
         "swapped = graphs.Graph(4, c4.edges, cayley=((4,), [(0,), (2,), (1,), (3,)]))\n"
         "assert_free.append(raises(lambda: swapped.connection))\n"
+        "g4 = graphs.Graph.cycle(4)\n"
+        "p4 = walks.discriminant(g4)\n"
+        "def gated(call):\n"
+        "    out = []\n"
+        "    for tau, error in ((-1, ValueError),\n"
+        "                       (walks.TAU_CAP + 1, errors.SizeCapExceeded)):\n"
+        "        try:\n"
+        "            call(tau)\n"
+        "        except error:\n"
+        "            out.append(True)\n"
+        "        else:\n"
+        "            out.append(False)\n"
+        "    return all(out)\n"
+        "gates = all(gated(f) for f in (\n"
+        "    lambda t: walks.bruteforce_period(g4, t),\n"
+        "    lambda t: walks.find_pst(g4, tau_max=t),\n"
+        "    lambda t: walks.evolution_power(g4, t),\n"
+        "    lambda t: walks.vertex_transfer_matrix(g4, t),\n"
+        "    lambda t: walks.chebyshev_apply(p4, 0, t),\n"
+        "    lambda t: walks.chebyshev_matrix(p4, t)))\n"
         "real_refine = walks._refine\n"
         "walks._refine = lambda g: [int(v != 0) for v in range(g.n)]\n"
         "assert_free.append(raises(lambda: walks.bruteforce_period(c4, 10)))\n"
@@ -371,7 +392,7 @@ def test_decision_checks_survive_optimize_flag():
         "walk_z4 = cli.main(['walk', 'Z4'])\n"
         "intpoly.charpoly = lambda mat: bad(len(mat))\n"
         "cycle = raises(lambda: walks.classify_spectrum(graphs.Graph.cycle(4)))\n"
-        "ok = all(assert_free) and walk_z4 == 2 and cycle\n"
+        "ok = all(assert_free) and walk_z4 == 2 and cycle and gates\n"
         "raise SystemExit(0 if ok else 1)\n")
     src = str(Path(walks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -632,6 +653,53 @@ def test_pst_rejects_sources_outside_the_graph():
 def test_pst_tau_cap():
     with pytest.raises(errors.SizeCapExceeded):
         walks.find_pst(_petersen(), tau_max=walks.TAU_CAP + 1)
+
+
+def test_every_tau_entry_point_gates_tau():
+    c4 = Graph.cycle(4)
+    p = walks.discriminant(c4)
+    for call in (lambda tau: walks.bruteforce_period(c4, tau),
+                 lambda tau: walks.find_pst(_petersen(), tau_max=tau),
+                 lambda tau: walks.find_pst(c4, tau_max=tau),  # periodic: unused
+                 lambda tau: walks.evolution_power(c4, tau),
+                 lambda tau: walks.vertex_transfer_matrix(c4, tau),
+                 lambda tau: walks.chebyshev_apply(p, 0, tau),
+                 lambda tau: walks.chebyshev_matrix(p, tau)):
+        with pytest.raises(ValueError):
+            call(-1)
+        with pytest.raises(errors.SizeCapExceeded):
+            call(walks.TAU_CAP + 1)
+        call(0)
+
+
+def test_negative_horizon_is_not_memoised(search_horizons):
+    g = Graph.cycle(4)
+    with pytest.raises(ValueError):
+        walks.bruteforce_period(g, -3)
+    assert search_horizons == [] and g.walk_analysis is None
+    assert walks.bruteforce_period(g, 4) == 4
+
+
+def test_angle_orders_of_cycles_are_the_divisors():
+    for n in range(3, 41):
+        orders = {line.angle_order
+                  for line in walks.classify_spectrum(Graph.cycle(n)).lines}
+        assert orders == {d for d in range(1, n + 1) if n % d == 0}, n
+
+
+def test_allowed_low_degree_lines_are_cosines_of_their_angle_order():
+    """2 mu is a root of two_cos_minimal_poly(angle order), in Surd."""
+    lines = 0
+    for key, g in _catalog_components(64):
+        for line in walks.classify_spectrum(g).lines:
+            if line.degree > 2 or not line.allowed:
+                continue
+            x, value = 2 * as_surd(line.mu), Surd(0)
+            for c in reversed(intpoly.two_cos_minimal_poly(line.angle_order)):
+                value = value * x + c
+            assert not value, (key, line)
+            lines += 1
+    assert lines > 1000
 
 
 def test_transfer_matrix_certifies_pst():
