@@ -6,7 +6,8 @@ modulo a batch of word-size primes and recombined by CRT under a rigorous
 coefficient bound, so no floating point and no rational blow-up.  Two
 routes fill in the residues: Hessenberg reduction of any square matrix
 (`charpoly`), and the additive characters of an abelian Cayley graph
-(`cayley_charpoly`).
+(`cayley_factors`), which lifts one factor per Galois orbit of characters
+and never forms the degree-n product.
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ def mul(p, q) -> IntPoly:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return tuple(out)
+
+
+def expand(factors) -> IntPoly:
+    """The product of p^m over the (p, m) pairs in `factors`."""
+    out = (1,)
+    for p, m in factors:
+        for _ in range(m):
+            out = mul(out, p)
+    return out
 
 
 def scale(p, c: int) -> IntPoly:
@@ -337,8 +347,9 @@ def charpoly(mat) -> IntPoly:
     return _crt_lift(primes, [_charpoly_mod(rows, p) for p in primes])
 
 
-def cayley_charpoly(moduli, connection, n: int) -> IntPoly:
-    """char(A) of an n-vertex graph made of copies of Cay(<S>, S).
+def cayley_factors(moduli, connection, n: int) -> tuple:
+    """char(A) of an n-vertex graph made of copies of Cay(<S>, S), factored
+    by Galois orbits of characters: ((P_O, multiplicity), ...).
 
     The group is Z_(m_1) x ... x Z_(m_r) for the given moduli, and S (the
     `connection`) is a symmetric, zero-free list of distinct coordinate
@@ -349,10 +360,19 @@ def cayley_charpoly(moduli, connection, n: int) -> IntPoly:
     Characters that agree on S agree on <S>, so the distinct exponent
     tuples on S are the |<S>| characters of <S>, each an eigenvalue of
     every one of the n/|<S>| components.  Characters with the same
-    multiset of exponents share chi(S); each multiset contributes
-    (x - chi(S))^m, and the residues are folded by CRT under the bound
-    of `charpoly` with ||A||_F^2 = n |S|.  O(n |S|) work for the
-    characters, no matrix.
+    multiset of exponents share chi(S).
+
+    The Galois automorphism z -> z^j (gcd(j, e) = 1) maps the multiset M
+    to j M mod e and permutes the characters, so the multisets fall into
+    orbits O whose members have one character count.  P_O = prod_(M in O)
+    (x - chi_M(S)) is fixed by every automorphism, so it has integer
+    coefficients, degree |O| <= phi(e) and is f^r for the minimal
+    polynomial f of any of its roots.  Each P_O is folded by CRT under
+    2 max_i C(|O|, i) k^i (its roots have |chi_M(S)| <= k = |S|) and
+    carries multiplicity count * copies.  Every image of a class must be
+    a class of the same count in no other orbit, or InconsistencyError is
+    raised, so the degrees times the multiplicities sum to n.  No
+    polynomial of degree above phi(e) is formed.
     """
     e = 1
     for m in moduli:
@@ -369,26 +389,67 @@ def cayley_charpoly(moduli, connection, n: int) -> IntPoly:
             f"{n} vertices are not copies of a group of order {len(distinct)}")
     groups = Counter(tuple(sorted(x)) for x in distinct)
     copies = n // len(distinct)
-    primes = _primes_with_product_above(
-        _coefficient_bound(n * len(connection), n), e)
-    residues = []
-    for q in primes:
-        powers = [1]
-        w = _root_of_unity(e, q)
-        for _ in range(e - 1):
-            powers.append(powers[-1] * w % q)
-        res = [1]
-        for multiset, count in groups.items():
-            m = count * copies
-            neg = -sum(powers[a] for a in multiset) % q
-            factor = [comb(m, i) * pow(neg, m - i, q) % q for i in range(m + 1)]
-            out = [0] * (len(res) + m)
-            for i, a in enumerate(res):
-                for j, b in enumerate(factor):
-                    out[i + j] += a * b
-            res = [c % q for c in out]
-        residues.append(res)
-    return _crt_lift(primes, residues)
+    orbits = []  # (multisets, multiplicity)
+    placed = {}  # multiset -> index of its orbit
+    for multiset, count in groups.items():
+        if multiset in placed:
+            continue
+        placed[multiset] = len(orbits)
+        orbit = [multiset]
+        for member in orbit:  # grows while it is walked
+            for j in _unit_generators(e):
+                image = tuple(sorted([j * a % e for a in member]))
+                if image not in placed and groups.get(image) == count:
+                    placed[image] = len(orbits)
+                    orbit.append(image)
+                elif placed.get(image) != len(orbits):
+                    # then the orbits would not partition the classes, and
+                    # the degrees times multiplicities would not sum to n
+                    raise InconsistencyError(
+                        f"x -> {j} x mod {e} maps the character class "
+                        f"{member} outside its orbit of {count}-fold classes")
+        orbits.append((orbit, count * copies))
+    k = len(connection)
+    powers = {}  # q -> [w^0, ..., w^(e-1)] mod q, shared by the orbits
+    factors = []
+    for orbit, mult in orbits:
+        d = len(orbit)
+        primes = _primes_with_product_above(
+            2 * max(comb(d, i) * k ** i for i in range(d + 1)), e)
+        residues = []
+        for q in primes:
+            if q not in powers:
+                w = _root_of_unity(e, q)
+                powers[q] = table = [1]
+                for _ in range(e - 1):
+                    table.append(table[-1] * w % q)
+            table = powers[q]
+            poly = [1]
+            for member in orbit:
+                root = sum(table[a] for a in member) % q
+                out = [0] + poly  # times x, minus root times poly
+                for i, c in enumerate(poly):
+                    out[i] = (out[i] - root * c) % q
+                poly = out
+            residues.append(poly)
+        factors.append((_crt_lift(primes, residues), mult))
+    return tuple(factors)
+
+
+@lru_cache(maxsize=None)
+def _unit_generators(e: int) -> tuple:
+    """Generators of the unit group (Z/e)^*, greedily from the least."""
+    gens = []
+    reached = {1 % e}
+    for j in range(2, e):
+        if gcd(j, e) == 1 and j not in reached:
+            gens.append(j)
+            coset, power = set(reached), j
+            while power not in reached:
+                coset |= {power * h % e for h in reached}
+                power = power * j % e
+            reached = coset
+    return tuple(gens)
 
 
 def _root_of_unity(e: int, q: int) -> int:

@@ -431,10 +431,9 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
                 f"predicted regularity {spec.regularity} != computed {k}")
         # the components are translates, so char(A) is the component's
         # raised to their number
-        whole = (1,)
-        for _ in range(graph.n // component.n):
-            whole = intpoly.mul(whole, report.charpoly)
-        if spec.charpoly() != whole:
+        copies = graph.n // component.n
+        if spec.charpoly() != intpoly.expand(
+                (p, m * copies) for p, m in report.factors):
             spectrum_verified = False
             failures.append("predicted spectrum != computed spectrum")
     except FormulaNotApplicable:

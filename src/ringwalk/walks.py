@@ -20,28 +20,33 @@ integer Chebyshev recurrence in A.  On a vertex-transitive graph it runs
 on the quotient of the coarsest equitable partition with {0} as a cell,
 a handful of cells instead of n vertices or 2|E| arcs; other graphs run
 it on all n vertices, scaled by L = lcm(degrees) if irregular.  The spectral
-classifier factors the characteristic polynomial of A over the integers
-(computed from the additive characters when the graph carries a verified
-Cayley structure, by dense reduction otherwise) and recognises every
-eigenvalue mu = lambda/k that is the cosine of a rational angle, by
-`two_cos_minimal_poly`: those are the only spectra a periodic walk can have.
+classifier takes the characteristic polynomial of A as (factor,
+multiplicity) pairs: one factor per Galois orbit of characters when the
+graph carries a verified Cayley structure (`intpoly.cayley_factors`, each
+a power of one irreducible polynomial of degree at most phi(e)), the
+dense charpoly as one factor otherwise.  It factors each over the
+integers and recognises every eigenvalue mu = lambda/k that is the cosine
+of a rational angle, by `two_cos_minimal_poly`: those are the only spectra
+a periodic walk can have.  No polynomial of degree n is formed on the
+character route unless `SpectralReport.charpoly` is asked for.
 Each input precondition has one `_check_*` helper; TAU_CAP bounds tau.
 
 Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
 filled lazily, holds the arc space, the probe's equitable quotient
 (computed from the adjacency alone), the classifier's `SpectralReport`
-(which carries the characteristic polynomial) and the brute-force memo:
-the horizon searched and the least period found within it.  A cached
-value is only ever read back by the route that wrote it: the classifier
-never sees the brute-force memo and brute force never sees the spectrum.
-So reusing them keeps the two periodicity routes as independent as
-recomputing would, and `period()` still compares them on every call.
+(which carries the factors of the characteristic polynomial) and the
+brute-force memo: the horizon searched and the least period found within
+it.  A cached value is only ever read back by the route that wrote it: the
+classifier never sees the brute-force memo and brute force never sees the
+spectrum.  So reusing them keeps the two periodicity routes as independent
+as recomputing would, and `period()` still compares them on every call.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -447,13 +452,21 @@ class SpectralLine:
 
 @dataclasses.dataclass(frozen=True)
 class SpectralReport:
-    """Exact eigenvalue classification of P = A/k."""
+    """Exact eigenvalue classification of P = A/k.
+
+    `factors` are the (P, multiplicity) pairs whose product is char(A);
+    `charpoly` multiplies them out on first use.
+    """
 
     n: int
     k: int
-    charpoly: tuple
+    factors: tuple
     lines: tuple
     unfactored: tuple | None
+
+    @functools.cached_property
+    def charpoly(self) -> tuple:
+        return intpoly.expand(self.factors)
 
     @property
     def periodic(self) -> bool:
@@ -511,13 +524,19 @@ def _angle_order(factor: tuple, k: int):
 
 
 def classify_spectrum(g: Graph) -> SpectralReport:
-    """Factor char(A) exactly and classify every mu = lambda/k.
+    """Classify every mu = lambda/k from char(A), factor by factor.
 
     The verdict `periodic` is complete: the walk is periodic iff every
-    factor of char(A) is the minimal polynomial of k cos(2 pi/n) in lambda
-    for some n, read off `two_cos_minimal_poly(n)` (`_scaled_cos_poly`).
-    The classifier extracts exactly those factors, leaving anything else in
-    `unfactored`.  Computed once per graph.
+    irreducible factor of char(A) is the minimal polynomial of
+    k cos(2 pi/n) in lambda for some n, read off `two_cos_minimal_poly(n)`
+    (`_scaled_cos_poly`).  char(A) arrives as (P, multiplicity) factors:
+    one per Galois orbit of characters on a graph with a verified Cayley
+    structure (`intpoly.cayley_factors`, each P a power of one irreducible
+    of degree <= phi(e)), else the single dense (char(A), 1).  The same
+    extraction runs on each P; lines with equal mu (or equal minimal
+    polynomial) are merged, and only the residuals left over are
+    multiplied out into `unfactored`.  The factors must agree with A on
+    degree, tr(A) and tr(A^2) (`_check_factors`).  Computed once per graph.
     """
     analysis = _analysis(g)
     if analysis.spectrum is None:
@@ -528,9 +547,53 @@ def classify_spectrum(g: Graph) -> SpectralReport:
 def _classify_spectrum(g: Graph) -> SpectralReport:
     k = _check_regular(g)
     _check_loopless(g)
-    cp = _charpoly(g)
+    factors = _spectrum_factors(g)
+    _check_factors(factors, g.n, k)
+    merged = {}
+    leftover = []
+    for p, m in factors:
+        lines, residual = _classify_factor(p, k)
+        for line in lines:
+            key = line.mu if line.mu is not None else line.lam_poly
+            total = line.multiplicity * m + (
+                merged[key].multiplicity if key in merged else 0)
+            merged[key] = dataclasses.replace(line, multiplicity=total)
+        if len(residual) > 1:
+            leftover.append((residual, m))
+    lines = sorted(merged.values(), key=lambda l: sort_key(l.mu)
+                   if l.mu is not None else (float("inf"), str(l.lam_poly)))
+    return SpectralReport(g.n, k, factors, tuple(lines),
+                          intpoly.expand(leftover) if leftover else None)
+
+
+def _check_factors(factors, n: int, k: int) -> None:
+    """char(A) of a loopless k-regular graph on n vertices has degree n,
+    trace tr(A) = 0 and tr(A^2) = nk; the (P, multiplicity) factors must
+    be monic and add up to the same, or InconsistencyError is raised."""
+    degree = trace = trace_sq = 0
+    for p, m in factors:
+        if len(p) < 2 or p[-1] != 1:
+            raise InconsistencyError(
+                f"the factor {p} of char(A) is not monic of degree >= 1")
+        d = len(p) - 1
+        # Newton: the roots of p sum to -p[d-1], their squares to
+        # p[d-1]^2 - 2 p[d-2]
+        degree += m * d
+        trace -= m * p[d - 1]
+        trace_sq += m * (p[d - 1] ** 2 - 2 * (p[d - 2] if d > 1 else 0))
+    if (degree, trace, trace_sq) != (n, 0, n * k):
+        raise InconsistencyError(
+            f"the factors of char(A) give degree {degree}, tr(A) = {trace} "
+            f"and tr(A^2) = {trace_sq}, not {n}, 0 and {n * k}")
+
+
+def _classify_factor(p: tuple, k: int):
+    """(lines, residual) for one monic factor p of char(A): every linear
+    factor, every irreducible quadratic with real roots and every
+    k cos(2 pi/n) minimal polynomial is divided out of p (multiplicities
+    count powers within p); the monic residual is what is left."""
     lines = []
-    residual = cp
+    residual = p
     zeros = 0
     while residual[0] == 0:
         residual = residual[1:]
@@ -589,23 +652,17 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
                                                   n_cand, scaled))
                         d = intpoly.degree(residual)
             n_cand += 1
-    unfactored = None if intpoly.degree(residual) < 1 else residual
-    if unfactored is None and residual != (1,):
-        raise InconsistencyError(
-            f"charpoly {cp} left the non-monic residual {residual}")
-    lines.sort(key=lambda l: sort_key(l.mu) if l.mu is not None
-               else (float("inf"), str(l.lam_poly)))
-    return SpectralReport(g.n, k, cp, tuple(lines), unfactored)
+    return lines, residual
 
 
-def _charpoly(g: Graph) -> tuple:
-    """char(A): from the additive characters when the graph carries a
-    Cayley structure (verified by `Graph.connection`), by dense reduction
-    otherwise."""
+def _spectrum_factors(g: Graph) -> tuple:
+    """char(A) as (P, multiplicity) pairs: one per Galois orbit of
+    characters when the graph carries a Cayley structure (verified by
+    `Graph.connection`), else the dense charpoly as the single factor."""
     conn = g.connection
     if conn is None:
-        return intpoly.charpoly(g.adjacency_matrix())
-    return intpoly.cayley_charpoly(g.cayley[0], conn, g.n)
+        return ((intpoly.charpoly(g.adjacency_matrix()), 1),)
+    return intpoly.cayley_factors(g.cayley[0], conn, g.n)
 
 
 def period(g: Graph):
@@ -616,7 +673,9 @@ def period(g: Graph):
     bruteforce_period's TAU_CAP (SizeCapExceeded beyond it).  The two
     routes are independent; if brute force finds no period dividing the
     bound, InconsistencyError is raised (a check that survives python -O).
+    A disconnected graph raises ValueError whatever its spectrum.
     """
+    _check_connected(g)
     report = classify_spectrum(g)
     if not report.periodic:
         return None

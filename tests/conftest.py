@@ -34,10 +34,10 @@ def charpoly_sizes(monkeypatch):
     """Size of every characteristic polynomial computed in a test.
 
     Counts both routes: the matrix size of each intpoly.charpoly call and
-    the vertex count of each intpoly.cayley_charpoly call.
+    the vertex count of each intpoly.cayley_factors call.
     """
     sizes = []
-    dense, cayley = intpoly.charpoly, intpoly.cayley_charpoly
+    dense, cayley = intpoly.charpoly, intpoly.cayley_factors
 
     def counted_dense(mat):
         sizes.append(len(mat))
@@ -48,5 +48,5 @@ def charpoly_sizes(monkeypatch):
         return cayley(moduli, connection, n)
 
     monkeypatch.setattr(intpoly, "charpoly", counted_dense)
-    monkeypatch.setattr(intpoly, "cayley_charpoly", counted_cayley)
+    monkeypatch.setattr(intpoly, "cayley_factors", counted_cayley)
     return sizes

@@ -183,22 +183,52 @@ def _cayley_graphs(draw):
 @given(_cayley_graphs())
 @settings(max_examples=60, deadline=None)
 def test_cayley_charpoly_matches_dense_route(case):
+    """The orbit factors multiply out to the dense charpoly, and each is a
+    power of a single irreducible of degree at most phi(e)."""
     moduli, group, conn = case
     members = set(conn)
     adj = [[int(tuple((b - a) % m for a, b, m in zip(u, v, moduli)) in members)
             for v in group] for u in group]
-    assert (intpoly.cayley_charpoly(moduli, conn, len(group))
-            == intpoly.charpoly(adj))
+    factors = intpoly.cayley_factors(moduli, conn, len(group))
+    assert intpoly.expand(factors) == intpoly.charpoly(adj)
+    x = sympy.Symbol("x")
+    phi = intpoly.euler_phi(math.lcm(*moduli))
+    for p, mult in factors:
+        assert mult >= 1 and 1 <= len(p) - 1 <= phi
+        irreducibles = sympy.Poly(p[::-1], x).factor_list()[1]
+        assert len(irreducibles) == 1, (p, irreducibles)
 
 
 def test_cayley_charpoly_counts_components():
     # S = {2, 6} in Z8 generates {0, 2, 4, 6}: C4 has charpoly x^4 - 4x^2,
     # and the 8-vertex graph is two copies of it
-    c4 = (0, 0, -4, 0, 1)
-    assert intpoly.cayley_charpoly((8,), [(2,), (6,)], 4) == c4
-    assert intpoly.cayley_charpoly((8,), [(2,), (6,)], 8) == intpoly.mul(c4, c4)
+    c4 = {(-2, 1): 1, (2, 1): 1, (0, 1): 2}
+    assert dict(intpoly.cayley_factors((8,), [(2,), (6,)], 4)) == c4
+    assert dict(intpoly.cayley_factors((8,), [(2,), (6,)], 8)) == {
+        p: 2 * m for p, m in c4.items()}
+    assert intpoly.expand(c4.items()) == (0, 0, -4, 0, 1)
     with pytest.raises(errors.InconsistencyError):
-        intpoly.cayley_charpoly((8,), [(2,), (6,)], 6)
+        intpoly.cayley_factors((8,), [(2,), (6,)], 6)
+
+
+def test_cayley_factors_follow_galois_orbits():
+    """C7: the characters 1..6 make three multisets {a, -a}, one orbit
+    under z -> z^j, whose factor is the cubic for 2 cos(2 pi/7), twice."""
+    factors = intpoly.cayley_factors((7,), [(1,), (6,)], 7)
+    assert dict(factors) == {(-2, 1): 1, intpoly.two_cos_minimal_poly(7): 2}
+
+
+def test_unit_generators_generate_the_units():
+    for e in range(1, 130):
+        units = {j for j in range(e) if math.gcd(j, e) == 1} or {0}
+        reached, frontier = {1 % e}, [1 % e]
+        while frontier:
+            h = frontier.pop()
+            for j in intpoly._unit_generators(e):
+                if j * h % e not in reached:
+                    reached.add(j * h % e)
+                    frontier.append(j * h % e)
+        assert reached == units, e
 
 
 def test_prime_pools_per_modulus():

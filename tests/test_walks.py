@@ -387,12 +387,21 @@ def test_decision_checks_survive_optimize_flag():
         "walks._refine = lambda g: [int(v != 0) for v in range(g.n)]\n"
         "assert_free.append(raises(lambda: walks.bruteforce_period(c4, 10)))\n"
         "walks._refine = real_refine\n"
+        "real_generators = intpoly._unit_generators\n"
+        "intpoly._unit_generators = lambda e: (0,)\n"
+        "walk_z4 = [cli.main(['walk', 'Z4'])]\n"
+        "intpoly._unit_generators = real_generators\n"
         "bad = lambda n: (0,) * n + (2,)\n"
-        "intpoly.cayley_charpoly = lambda moduli, connection, n: bad(n)\n"
-        "walk_z4 = cli.main(['walk', 'Z4'])\n"
+        "forged = [lambda n: ((bad(n), 1),),\n"
+        "          lambda n: (((-2, 1), 1), ((0, 1), n - 2)),\n"
+        "          lambda n: (((-2, 1), 2), ((0, 1), n - 2))]\n"
+        "for factors in forged:\n"
+        "    intpoly.cayley_factors = lambda moduli, connection, n: factors(n)\n"
+        "    walk_z4.append(cli.main(['walk', 'Z4']))\n"
         "intpoly.charpoly = lambda mat: bad(len(mat))\n"
-        "cycle = raises(lambda: walks.classify_spectrum(graphs.Graph.cycle(4)))\n"
-        "ok = all(assert_free) and walk_z4 == 2 and cycle and gates\n"
+        "bare = graphs.Graph(4, c4.edges)\n"
+        "cycle = raises(lambda: walks.classify_spectrum(bare))\n"
+        "ok = all(assert_free) and walk_z4 == [2] * 4 and cycle and gates\n"
         "raise SystemExit(0 if ok else 1)\n")
     src = str(Path(walks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -424,7 +433,7 @@ def test_character_route_matches_dense_on_catalog(monkeypatch):
 
 
 def test_graphs_without_structure_take_the_dense_route(monkeypatch, charpoly_sizes):
-    monkeypatch.setattr(intpoly, "cayley_charpoly", _refuse)
+    monkeypatch.setattr(intpoly, "cayley_factors", _refuse)
     k3 = unitary_cayley_graph(make_ring("Z3"))
     bare = [Graph.from_adjacency(g.adjacency_matrix())
             for g in (Graph.cycle(7), tensor_product(k3, k3))]
@@ -441,7 +450,53 @@ def test_character_route_matches_dense_on_cycles_and_complete_graphs(monkeypatch
     small = [g for g in base if g.n <= 6]
     graphs = base + [tensor_product(g, h) for g in small for h in small]
     for g in graphs:
-        assert walks._charpoly(g) == dense(g.adjacency_matrix()), g
+        assert intpoly.expand(walks._spectrum_factors(g)) == dense(
+            g.adjacency_matrix()), g
+
+
+def test_orbit_factors_classify_like_the_dense_factor():
+    """On every component to order 36, both families, the report from the
+    orbit factors has the lines, residual and verdict of the report from
+    the single dense factor of the copy without a Cayley structure."""
+    components = 0
+    for key, g in _catalog_components(36):
+        bare = Graph(g.n, g.edges)
+        assert g.connection is not None and bare.connection is None, key
+        ours, dense = walks.classify_spectrum(g), walks.classify_spectrum(bare)
+        assert len(dense.factors) == 1, key
+        assert (ours.lines, ours.unfactored, ours.periodic) == (
+            dense.lines, dense.unfactored, dense.periodic), key
+        components += 1
+    assert components > 300
+
+
+def test_classifier_divides_nothing_above_the_largest_orbit(monkeypatch):
+    """Work guard on the aperiodic benchmark rings: no trial division has a
+    dividend of degree above the largest orbit factor, so no degree-n
+    polynomial is formed or divided.  A first pass fills the process-wide
+    cosine tables (`two_cos_minimal_poly` divides x^n - 1 once per n)."""
+    cases = (("Z101", quadratic_unitary_cayley_graph),
+             ("GF(81)", quadratic_unitary_cayley_graph),
+             ("Z7 x Z11", quadratic_unitary_cayley_graph),
+             ("Z5 x Z25", unitary_cayley_graph),
+             ("GF(128)", unitary_cayley_graph))
+    graphs = [build(make_ring(spec)) for spec, build in cases]
+    for g in graphs:
+        walks.classify_spectrum(g)
+    dividends = []
+    real = intpoly.divmod_monic
+
+    def counted(p, g):
+        dividends.append(len(p) - 1)
+        return real(p, g)
+
+    monkeypatch.setattr(intpoly, "divmod_monic", counted)
+    for g in graphs:
+        report = walks._classify_spectrum(g)
+        largest = max(len(p) - 1 for p, _ in report.factors)
+        assert dividends and max(dividends) <= largest < g.n, g
+        assert not report.periodic
+        dividends.clear()
 
 
 def test_character_route_rejects_mislabelled_graphs():
@@ -466,6 +521,14 @@ def test_character_route_meets_closed_form_beyond_dense_reach():
             (quadratic_unitary_cayley_graph, verify.predicted_quadratic_spectrum)):
         assert (walks.classify_spectrum(build(ring)).charpoly
                 == predict(ring).charpoly())
+
+
+def test_period_refuses_disconnected_graphs():
+    """Two Petersen graphs (aperiodic) and two C5 (periodic) alike."""
+    for g in (_petersen(), Graph.cycle(5)):
+        twice = Graph(2 * g.n, [*g.edges, *((u + g.n, v + g.n) for u, v in g.edges)])
+        with pytest.raises(ValueError, match="connected"):
+            walks.period(twice)
 
 
 def test_nonperiodic_graphs():
