@@ -31,6 +31,10 @@ from .walks import (PSTPair, PSTReport, RationalMatrix, SpectralLine,
                     evolution_power, find_pst, period, time_evolution,
                     vertex_transfer_matrix)
 
+# Loaded with the package, so that importing argparse and building the
+# parser are paid at import and not by whichever command runs first.
+from . import cli  # noqa: F401
+
 __version__ = "0.1.0"
 
 __all__ = [
