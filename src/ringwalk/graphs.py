@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 
 from .errors import InconsistencyError
 from .rings import ConnectionSet, ProductRing, quadratic_connection, units
@@ -139,35 +140,46 @@ class Graph:
     def connection(self):
         """The connection set S of the carried Cayley structure, or None.
 
-        Checked once, on first use, in O(|E|): S is read off vertex 0 as the
-        coordinate differences to its neighbours, and the coordinates must be
-        distinct and in range, every degree |S|, S symmetric and every
-        edge's difference in S.  Then each vertex a is adjacent exactly to
-        a + S, so the graph is Cay(<S>, S) on a union of cosets of <S>.  A
-        failed check raises InconsistencyError.  S comes back as a sorted
-        tuple of coordinate tuples; a graph without a structure gives None.
+        Checked once, on first use, in O(|E|) time and O(n + |E|) memory on
+        integer codes: vertex v gets the mixed-radix code sum a_i w_i of its
+        coordinates a_i, with w_i the product of the moduli after m_i, and
+        edge (u, v) the code of the digitwise difference (a_i(v) - a_i(u))
+        mod m_i.  The coordinates must be in range and their codes distinct;
+        S is the set of difference codes at vertex 0, every degree must be
+        |S|, S closed under digitwise negation and every edge's code in S.
+        Then each vertex a is adjacent exactly to a + S, so the graph is
+        Cay(<S>, S) on a union of cosets of <S>.  A failed check raises
+        InconsistencyError.  S comes back as a sorted tuple of coordinate
+        tuples; a graph without a structure gives None.
         """
         if self.cayley is None or not self.n:
             return None
         moduli, coords = self.cayley
-
-        def diff(u, v):
-            return tuple([(b - a) % m
-                          for a, b, m in zip(coords[u], coords[v], moduli)])
-
-        ok = len(coords) == self.n and len(set(coords)) == self.n and all(
-            len(c) == len(moduli)
-            and all(0 <= a < m for a, m in zip(c, moduli)) for c in coords)
+        weights = [math.prod(moduli[i + 1:]) for i in range(len(moduli))]
+        ok = len(coords) == self.n and all(len(c) == len(moduli) for c in coords)
         if ok:
-            conn = {diff(0, w) for w in self.neighbors[0]}
+            codes = [0] * self.n
+            diffs = [0] * len(self.edges)
+            for i, (m, w) in enumerate(zip(moduli, weights)):
+                col = [c[i] for c in coords]
+                ok = ok and 0 <= min(col) and max(col) < m
+                codes = [x + a * w for x, a in zip(codes, col)]
+                diffs = [d + (col[v] - col[u]) % m * w
+                         for d, (u, v) in zip(diffs, self.edges)]
+            ok = ok and len(set(codes)) == self.n
+        if ok:
+            # edges are sorted, so the (0, w) edges come first
+            conn = set(diffs[:self.degrees[0]])
             ok = (all(d == len(conn) for d in self.degrees)
-                  and all(tuple([-a % m for a, m in zip(s, moduli)]) in conn
+                  and all(sum([-(s // w) % m * w
+                               for w, m in zip(weights, moduli)]) in conn
                           for s in conn)
-                  and all(diff(u, v) in conn for u, v in self.edges))
+                  and conn.issuperset(diffs))
         if not ok:
             raise InconsistencyError(
                 f"{self!r} is not the Cayley graph its coordinates describe")
-        return tuple(sorted(conn))
+        return tuple(tuple([s // w % m for w, m in zip(weights, moduli)])
+                     for s in sorted(conn))
 
     @property
     def vertex_transitive(self) -> bool:

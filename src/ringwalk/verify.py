@@ -10,11 +10,13 @@ connection closes up to its full unit group).  Outside those regimes no
 closed form is claimed and the predicates answer "not applicable".
 
 verify_ring runs every applicable prediction against the walk engine's
-ground truth: predicted characteristic polynomial vs the computed one,
-predicted periodicity vs the spectral classifier vs the brute-force power
-oracle, predicted transfer vs the exact search.  Disconnected graphs are
-analyzed on the component of the zero element; translation by any vertex
-is a graph isomorphism carrying component to component, so that component
+ground truth: the predicted characteristic polynomial vs the computed one,
+factor by factor (each computed factor is divided by the predicted
+irreducibles and the multiplicities compared), predicted periodicity vs
+the spectral classifier vs the brute-force power oracle, predicted
+transfer vs the exact search.  Disconnected graphs are analyzed on the
+component of the zero element; translation by any vertex is a graph
+isomorphism carrying component to component, so that component
 represents them all (the graph's characteristic polynomial is the
 component's raised to the number of components), and a transfer can never
 cross components.  Ring-level transfer positivity therefore means:
@@ -66,21 +68,21 @@ class PredictedSpectrum:
     n: int
     formula: str
 
-    def charpoly(self):
-        """Expand prod (x - value)^mult over the integers, one orbit at a time.
+    def factors(self):
+        """One (minimal polynomial, multiplicity) pair per conjugate orbit.
 
         The conjugates of a value (its images under sign changes of its
         square roots) must all be listed with the same multiplicity; their
-        product is the orbit's minimal polynomial, which must be integral
-        and is raised to that multiplicity.  Only the formula's own values
+        product is the orbit's minimal polynomial, which must be integral,
+        and the degrees must add up to n.  Only the formula's own values
         enter, never a computed spectrum.  Anything else means the formula
         produced an impossible spectrum, and raises InconsistencyError.
         """
         left = {_canon(v): m for v, m in self.pairs}
-        out = (1,)
+        out = []
         for value, mult in list(left.items()):
             if value not in left:
-                continue  # expanded with an earlier conjugate
+                continue  # done with an earlier conjugate
             orbit = [_canon(c) for c in as_surd(value).conjugates()]
             if any(left.pop(c, None) != mult for c in orbit):
                 raise InconsistencyError(
@@ -99,12 +101,16 @@ class PredictedSpectrum:
                         f"{self.formula} charpoly has the non-integer "
                         f"coefficient {c}")
                 factor.append(int(f))
-            for _ in range(mult):
-                out = intpoly.mul(out, factor)
-        if len(out) != self.n + 1:
+            out.append((tuple(factor), mult))
+        degree = sum((len(p) - 1) * m for p, m in out)
+        if degree != self.n:
             raise InconsistencyError(
-                f"{self.formula} charpoly has degree {len(out) - 1}, not {self.n}")
+                f"{self.formula} charpoly has degree {degree}, not {self.n}")
         return tuple(out)
+
+    def charpoly(self):
+        """prod (x - value)^mult over the integers: the factors multiplied out."""
+        return intpoly.expand(self.factors())
 
 
 def _merge(values, regularity, n, formula):
@@ -429,11 +435,18 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
             spectrum_verified = False
             failures.append(
                 f"predicted regularity {spec.regularity} != computed {k}")
-        # the components are translates, so char(A) is the component's
-        # raised to their number
+        # divide each computed (P, m) by the predicted irreducibles; the
+        # components are translates, so each division counts m * copies
+        predicted = dict(spec.factors())
         copies = graph.n // component.n
-        if spec.charpoly() != intpoly.expand(
-                (p, m * copies) for p, m in report.factors):
+        found = {}
+        for p, m in report.factors:
+            for f in predicted:
+                while (q := intpoly.try_divide(p, f)) is not None:
+                    p, found[f] = q, found.get(f, 0) + m * copies
+            if len(p) > 1:
+                found[p] = found.get(p, 0) + m * copies
+        if found != predicted:
             spectrum_verified = False
             failures.append("predicted spectrum != computed spectrum")
     except FormulaNotApplicable:

@@ -591,7 +591,10 @@ def _classify_factor(p: tuple, k: int):
     """(lines, residual) for one monic factor p of char(A): every linear
     factor, every irreducible quadratic with real roots and every
     k cos(2 pi/n) minimal polynomial is divided out of p (multiplicities
-    count powers within p); the monic residual is what is left."""
+    count powers within p); the monic residual is what is left.  Only
+    candidates that divide the residual's nonzero constant term are tried
+    (Gauss's lemma): roots r in [-k, k], and quadratics x^2 - t x + s with
+    |s| <= min(k^2, |c0|).  This holds for a dense factor as well."""
     lines = []
     residual = p
     zeros = 0
@@ -602,6 +605,8 @@ def _classify_factor(p: tuple, k: int):
         lines.append(SpectralLine(Fraction(0), zeros, 1, True,
                                   _angle_order((0, 1), k)))
     for r in range(k, -k - 1, -1):  # r = 0 divides nothing: the zeros are out
+        if not r or residual[0] % r:
+            continue
         residual, mult = _divide_out(residual, (-r, 1))
         if mult:
             order = _angle_order((-r, 1), k)
@@ -611,7 +616,8 @@ def _classify_factor(p: tuple, k: int):
         # x^2 - t x + s divides the residual only if s divides its constant
         # term (which only shrinks) and Q(1), Q(-1) divide R(1), R(-1)
         c0 = abs(residual[0])
-        divisors = [s for s in range(-k * k, k * k + 1) if s and not c0 % abs(s)]
+        bound = min(k * k, c0)
+        divisors = [s for s in range(-bound, bound + 1) if s and not c0 % abs(s)]
         at_one, at_minus_one = (intpoly.evaluate(residual, 1),
                                 intpoly.evaluate(residual, -1))
         for t in range(2 * k, -2 * k - 1, -1):

@@ -1,12 +1,15 @@
 """Graph construction, Cayley structure, refinement and export."""
 
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_intpoly import _cayley_graphs
 
 from ringwalk import errors, verify
 from ringwalk.graphs import (
@@ -20,7 +23,7 @@ from ringwalk.graphs import (
     to_dot,
     unitary_cayley_graph,
 )
-from ringwalk.rings import make_ring, quadratic_connection, units
+from ringwalk.rings import enumerate_rings, make_ring, quadratic_connection, units
 
 
 def _to_networkx(g: Graph) -> nx.Graph:
@@ -223,6 +226,96 @@ def test_carried_structure_must_match_the_edges():
         g = Graph(4, c4.edges, cayley=(moduli, bad))
         with pytest.raises(errors.InconsistencyError):
             g.connection
+
+
+def _reference_connection(g: Graph):
+    """The structure check on coordinate tuples: S or InconsistencyError."""
+    if g.cayley is None or not g.n:
+        return None
+    moduli, coords = g.cayley
+
+    def diff(u, v):
+        return tuple((b - a) % m for a, b, m in zip(coords[u], coords[v], moduli))
+
+    ok = len(coords) == g.n and len(set(map(tuple, coords))) == g.n and all(
+        len(c) == len(moduli) and all(0 <= a < m for a, m in zip(c, moduli))
+        for c in coords)
+    if ok:
+        conn = {diff(0, w) for w in g.neighbors[0]}
+        ok = (all(d == len(conn) for d in g.degrees)
+              and all(tuple(-a % m for a, m in zip(s, moduli)) in conn
+                      for s in conn)
+              and all(diff(u, v) in conn for u, v in g.edges))
+    if not ok:
+        raise errors.InconsistencyError("reference check failed")
+    return tuple(sorted(conn))
+
+
+def _same_connection(g: Graph) -> bool:
+    """connection and the reference agree on S, or both raise."""
+    try:
+        expected = _reference_connection(g)
+    except errors.InconsistencyError:
+        with pytest.raises(errors.InconsistencyError):
+            g.connection
+        return False
+    assert g.connection == expected, g
+    return True
+
+
+@given(_cayley_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_connection_matches_tuple_reference_on_random_structures(case, rng):
+    """Random Cayley graphs, as built and with two vertices' coordinates
+    swapped (which the checks may or may not catch, alike)."""
+    moduli, group, conn = case
+    members = set(conn)
+    edges = [(u, v) for u in range(len(group)) for v in range(u, len(group))
+             if tuple((b - a) % m for a, b, m in zip(group[u], group[v], moduli))
+             in members]
+    g = Graph(len(group), edges, cayley=(moduli, group))
+    assert _same_connection(g) and g.connection == tuple(conn)
+    i, j = rng.randrange(len(group)), rng.randrange(len(group))
+    swapped = list(group)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    _same_connection(Graph(len(group), edges, cayley=(moduli, swapped)))
+
+
+def test_connection_matches_tuple_reference_on_catalog_and_products():
+    """Every graph and component to order 36 in both families, tensor
+    products and looped complete graphs."""
+    checked = 0
+    for ring in enumerate_rings(36):
+        for build in (unitary_cayley_graph, quadratic_unitary_cayley_graph):
+            g = build(ring)
+            for h in (g, *map(g.induced_subgraph, g.connected_components())):
+                assert _same_connection(h)
+                checked += 1
+    small = [Graph.cycle(5), Graph.complete(4), Graph.complete_pseudograph(3),
+             unitary_cayley_graph(make_ring("Z2 x Z2"))]
+    for g in small:
+        for h in small:
+            assert _same_connection(tensor_product(g, h))
+    for n in range(1, 8):
+        assert _same_connection(Graph.complete_pseudograph(n))
+    assert checked > 366
+
+
+def test_connection_memory_does_not_grow_with_the_moduli():
+    """Z_(10^18) coordinates on 3 vertices, a valid structure and a
+    failing one: no table indexed by group element is built."""
+    moduli = (10 ** 18,)
+    edgeless = Graph(3, [], cayley=(moduli, [(0,), (5,), (10 ** 17,)]))
+    path = Graph(3, [(0, 1), (0, 2)], cayley=(moduli, [(0,), (1,), (10 ** 18 - 1,)]))
+    tracemalloc.start()
+    try:
+        assert edgeless.connection == ()
+        with pytest.raises(errors.InconsistencyError):
+            path.connection
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_vertex_labels_are_ring_elements():

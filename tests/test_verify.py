@@ -1,5 +1,7 @@
 """Closed-form spectrum predictions and the ring verification harness."""
 
+import dataclasses
+
 import pytest
 
 from ringwalk import intpoly, verify, walks
@@ -67,6 +69,9 @@ def test_quadratic_spectrum_charpolys_are_integral():
         poly = pred.charpoly()
         assert intpoly.degree(poly) == ring.order
         assert all(isinstance(c, int) for c in poly)
+        factors = pred.factors()  # one irreducible per orbit, each once
+        assert len({p for p, _ in factors}) == len(factors)
+        assert poly == intpoly.expand(factors)
 
 
 def test_multiquadratic_closed_form_matches_the_graph():
@@ -277,3 +282,21 @@ def test_verify_ring_computes_one_charpoly(spec, sizes, charpoly_sizes):
     rec = verify.verify_ring(make_ring(spec), "unitary")
     assert rec.ok and rec.spectrum_verified
     assert charpoly_sizes == sizes
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z2 x Z2", "Z13"])
+def test_verify_ring_compares_factor_multiplicities(spec, monkeypatch):
+    """A computed factor with a forged multiplicity, or a forged extra
+    factor, fails the spectrum check and nothing else."""
+    family = "quadratic" if spec == "Z13" else "unitary"
+    real = walks.classify_spectrum
+    forgeries = (lambda fs: ((fs[0][0], fs[0][1] + 1),) + fs[1:],
+                 lambda fs: fs + (((-2, 0, 1), 1),))
+    assert verify.verify_ring(make_ring(spec), family).spectrum_verified
+    for forge in forgeries:
+        monkeypatch.setattr(walks, "classify_spectrum", lambda g: (
+            dataclasses.replace(real(g), factors=forge(real(g).factors))))
+        rec = verify.verify_ring(make_ring(spec), family)
+        assert rec.spectrum_verified is False
+        assert rec.failures == ("predicted spectrum != computed spectrum",)
+

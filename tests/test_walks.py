@@ -363,6 +363,11 @@ def test_decision_checks_survive_optimize_flag():
         "c4 = graphs.Graph.cycle(4)\n"
         "swapped = graphs.Graph(4, c4.edges, cayley=((4,), [(0,), (2,), (1,), (3,)]))\n"
         "assert_free.append(raises(lambda: swapped.connection))\n"
+        # C6 with vertices 2 and 3 swapped keeps S = {1, 5} and every
+        # degree; only the edge check catches it
+        "c6 = graphs.Graph.cycle(6)\n"
+        "edge_only = graphs.Graph(6, c6.edges, cayley=((6,), [(0,), (1,), (3,), (2,), (4,), (5,)]))\n"
+        "assert_free.append(raises(lambda: edge_only.connection))\n"
         "g4 = graphs.Graph.cycle(4)\n"
         "p4 = walks.discriminant(g4)\n"
         "def gated(call):\n"
@@ -664,6 +669,60 @@ def test_classifier_matches_sympy_factorisation():
         assert rep.periodic == (rep.unfactored is None
                                 and all(line.allowed for line in rep.lines))
         assert rep.periodic == periodic
+
+
+def test_classifier_recovers_chosen_factors(monkeypatch):
+    """Monic polynomials built from chosen roots in [-k, k], irreducible
+    quadratics with real roots and k cos(2 pi/n) minimal polynomials, times
+    a rest the classifier cannot take apart: `_classify_factor` recovers
+    each chosen factor with its multiplicity and leaves exactly the rest.
+    Every linear or quadratic trial divisor has a constant term dividing
+    the nonzero constant term c0 (Gauss's lemma), at most min(k^2, |c0|)."""
+    tried = []
+    real = intpoly.divmod_monic
+
+    def counted(p, g):
+        tried.append(g)
+        return real(p, g)
+
+    monkeypatch.setattr(intpoly, "divmod_monic", counted)
+    rests = ((1,), (-2, 0, 0, 1), (1, 0, 1))  # 1, x^3 - 2, x^2 + 1
+    rng = random.Random(20)
+    for _ in range(60):
+        k = rng.choice((2, 4, 6, 8))
+        chosen, expected = [], {}
+        for r in rng.sample(range(-k, k + 1), rng.randrange(5)):
+            m = rng.randrange(1, 3)
+            chosen.append(((-r, 1), m))
+            expected[Fraction(r, k)] = m
+        quadratics = rng.randrange(3)
+        while quadratics:
+            t, s = rng.randrange(-2 * k, 2 * k + 1), rng.randrange(-k * k, k * k + 1)
+            disc = t * t - 4 * s
+            if not s or disc <= 0 or walks._is_square(disc) or (s, -t, 1) in dict(chosen):
+                continue
+            m = rng.randrange(1, 3)
+            chosen.append(((s, -t, 1), m))
+            for lam in ((t + Surd.sqrt(disc)) / 2, (t - Surd.sqrt(disc)) / 2):
+                expected[lam / k] = m
+            quadratics -= 1
+        for n in rng.sample((7, 9, 14, 18), rng.randrange(3)):
+            m = rng.randrange(1, 3)
+            chosen.append((walks._scaled_cos_poly(n, k), m))
+            expected[walks._scaled_cos_poly(n, k)] = m
+        rest = rng.choice(rests)
+        rng.shuffle(chosen)
+        p = intpoly.mul(intpoly.expand(chosen), rest)
+        c0 = next(c for c in p if c)
+        tried.clear()
+        lines, residual = walks._classify_factor(p, k)
+        assert {l.mu if l.mu is not None else l.lam_poly: l.multiplicity
+                for l in lines} == expected, (k, chosen, rest)
+        assert len(lines) == len(expected) and residual == rest
+        for g in tried:
+            if len(g) <= 3:
+                assert g[0] and not c0 % g[0], (p, g)
+                assert abs(g[0]) <= min(k * k, abs(c0)), (p, g)
 
 
 def test_pst_on_even_cycles():
