@@ -297,7 +297,8 @@ def _build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="sweep predictions vs the walk engine")
     ver.add_argument("--family", choices=_FAMILIES, default="unitary")
     ver.add_argument("--max-order", type=int, default=16)
-    ver.add_argument("--tau-max", type=int, default=120)
+    ver.add_argument("--tau-max", type=int, default=verify_mod.ORACLE_HORIZON,
+                     help="brute-force horizon for aperiodic verdicts")
     ver.add_argument("--format", choices=("json", "text"), default="json")
     ver.add_argument("--out")
     return parser

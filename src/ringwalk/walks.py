@@ -39,7 +39,7 @@ brute-force memo: the horizon searched and the least period found within
 it.  A cached value is only ever read back by the route that wrote it: the
 classifier never sees the brute-force memo and brute force never sees the
 spectrum.  So reusing them keeps the two periodicity routes as independent
-as recomputing would, and `period()` still compares them on every call.
+as recomputing would; `period()` alone compares them, on every call.
 """
 
 from __future__ import annotations
@@ -671,25 +671,33 @@ def _spectrum_factors(g: Graph) -> tuple:
     return intpoly.cayley_factors(g.cayley[0], conn, g.n)
 
 
-def period(g: Graph):
+def period(g: Graph, tau_max: int = 0):
     """The exact least period of U, or None if the walk is not periodic.
 
-    The classifier supplies the divisor bound (lcm of the root-of-unity
-    orders), then the least tau is confirmed by exact powering, within
-    bruteforce_period's TAU_CAP (SizeCapExceeded beyond it).  The two
-    routes are independent; if brute force finds no period dividing the
-    bound, InconsistencyError is raised (a check that survives python -O).
-    A disconnected graph raises ValueError whatever its spectrum.
+    The one comparison of the engine's periodicity routes: the classifier
+    decides, and brute force, which never sees the spectrum, must agree or
+    InconsistencyError is raised (also under python -O).  On a periodic
+    verdict brute force searches to max(bound, tau_max), for the divisor
+    bound lcm(angle orders), and its least tau must divide the bound; on
+    an aperiodic one it must find no tau <= tau_max, and is not run at 0.
+    tau_max and the bound must lie in 0..TAU_CAP.  A disconnected graph
+    raises ValueError whatever its spectrum.
     """
+    _check_tau(tau_max)
     _check_connected(g)
     report = classify_spectrum(g)
     if not report.periodic:
+        if tau_max and (tau := bruteforce_period(g, tau_max)) is not None:
+            raise InconsistencyError(
+                f"classifier says {g!r} is aperiodic, brute force found "
+                f"period {tau}")
         return None
     bound = report.period_bound
-    tau = bruteforce_period(g, bound)
+    tau = bruteforce_period(g, max(bound, tau_max))
     if tau is None or bound % tau:
         raise InconsistencyError(
-            f"classifier bounds the period by {bound}, brute force found {tau}")
+            f"classifier bounds the period of {g!r} by {bound}, brute force "
+            f"found {tau}")
     return tau
 
 
@@ -710,8 +718,6 @@ class PSTReport:
     """Outcome of a perfect state transfer search."""
 
     pairs: tuple
-    periodic: bool
-    period: int | None
     bound: int
     sources: tuple
     pruned_by_transitivity: bool = False
@@ -724,11 +730,12 @@ class PSTReport:
 def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
     """Every exact transfer T_tau(P) e_u = +-e_v within the search bound.
 
-    Periodic walks are searched completely (tau < period).  A connected
-    vertex-transitive non-periodic graph admits no transfer at all, so the
-    search is pruned; otherwise tau_max is mandatory.  Entries with a
-    single +-1 amplitude but any other nonzero amplitude are not transfers
-    and are never reported.
+    Periodic walks are searched completely (tau < period(g), which checks
+    that g is connected and regular).  A connected vertex-transitive
+    non-periodic graph admits no transfer at all, so the search is pruned;
+    otherwise tau_max is mandatory.  Entries with a single +-1 amplitude
+    but any other nonzero amplitude are not transfers and are never
+    reported.
 
     By default a vertex-transitive graph is searched from vertex 0 alone,
     on its equitable quotient at 0 (`_quotient`): k^tau T_tau(P) e_0 is
@@ -741,13 +748,11 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
     """
     if tau_max is not None:
         _check_tau(tau_max)
-    _check_connected(g)
-    report = classify_spectrum(g)  # checks that g is regular
-    per = period(g) if report.periodic else None
-    if report.periodic:
+    per = period(g)
+    if per is not None:
         bound = per - 1
     elif g.vertex_transitive:
-        return PSTReport((), False, None, 0, (), pruned_by_transitivity=True)
+        return PSTReport((), 0, (), pruned_by_transitivity=True)
     else:
         if tau_max is None:
             raise ValueError("tau_max is required when the walk is not periodic "
@@ -768,7 +773,7 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
         x0 = [int(i == u) for i in range(len(q.cells))]
         target = 1
         for tau, x in enumerate(_chebyshev_cells(q, x0, bound), 1):
-            target *= report.k
+            target *= q.scale
             nz = [i for i, a in enumerate(x) if a]
             if len(nz) == 1 and abs(x[nz[0]]) == target:
                 cell = q.cells[nz[0]]
@@ -778,4 +783,4 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
                     hits.add(PSTPair(u, v, tau, phase))
                     hits.add(PSTPair(v, u, tau, phase))  # T_tau(P) is symmetric
     pairs = tuple(sorted(hits, key=lambda h: (h.time, h.source, h.target)))
-    return PSTReport(pairs, report.periodic, per, bound, sources)
+    return PSTReport(pairs, bound, sources)

@@ -207,6 +207,20 @@ def test_verify_json_small_sweep(capsys):
     assert z4["status"] == "pass"
 
 
+def test_short_oracle_horizon_keeps_every_period(capsys):
+    """--tau-max bounds brute force on aperiodic verdicts only: a periodic
+    one is searched past it, so every record matches the default horizon."""
+    code, out = _run(capsys, "verify", "--max-order", "12", "--tau-max", "5")
+    assert code == 0
+    short = json.loads(out)
+    code, out = _run(capsys, "verify", "--max-order", "12")
+    assert code == 0
+    default = json.loads(out)
+    assert short["status"] == "pass" and short["tau_max"] == 5
+    assert short["records"] == default["records"]
+    assert max(r["computed"]["period"] or 0 for r in short["records"]) > 5
+
+
 def test_verify_text_format(capsys):
     code, out = _run(capsys, "verify", "--max-order", "4", "--format", "text")
     assert code == 0

@@ -258,21 +258,45 @@ def test_period_raises_when_routes_disagree(monkeypatch):
 
 
 def test_route_disagreement_survives_optimize_flag():
+    """A forged brute force or classifier raises InconsistencyError through
+    the library, `walk` and `verify`, -O or not, and the CLI prints nothing
+    on stdout."""
     code = (
-        "from ringwalk import errors, walks\n"
-        "from ringwalk.graphs import Graph\n"
+        "import dataclasses\n"
+        "from ringwalk import cli, errors, verify, walks\n"
+        "from ringwalk.graphs import Graph, quadratic_unitary_cayley_graph\n"
+        "from ringwalk.rings import make_ring\n"
+        "def raises(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except errors.InconsistencyError:\n"
+        "        return True\n"
+        "    return False\n"
+        "z13 = make_ring('Z13')\n"
+        "real_brute, real_classify = walks.bruteforce_period, walks.classify_spectrum\n"
         "walks.bruteforce_period = lambda g, tau_max: None\n"
-        "try:\n"
-        "    walks.period(Graph.cycle(4))\n"
-        "except errors.InconsistencyError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n")
+        "library = [raises(lambda: walks.period(Graph.cycle(4)))]\n"
+        "walks.bruteforce_period = lambda g, tau_max: 3\n"
+        "library += [\n"
+        "    raises(lambda: walks.period(quadratic_unitary_cayley_graph(z13), 120)),\n"
+        "    raises(lambda: verify.verify_ring(z13, 'quadratic'))]\n"
+        "codes = [cli.main(['verify', '--family', 'quadratic-unitary',\n"
+        "                   '--max-order', '13']),\n"
+        "         cli.main(['walk', 'Z4'])]  # bound 4: 3 does not divide it\n"
+        "walks.bruteforce_period = real_brute\n"
+        "walks.classify_spectrum = lambda g: dataclasses.replace(\n"
+        "    real_classify(g), unfactored=(1, 1))  # says aperiodic\n"
+        "library.append(raises(lambda: verify.verify_ring(make_ring('Z12'))))\n"
+        "codes.append(cli.main(['verify', '--max-order', '4']))\n"
+        "raise SystemExit(0 if all(library) and codes == [2, 2, 2] else 1)\n")
     src = str(Path(walks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     for flags in ([], ["-O"]):
         done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                              timeout=60)
-        assert done.returncode == 0, flags
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (flags, done.stderr)
+        assert done.stdout == "", flags
+        assert done.stderr.count("ringwalk: internal inconsistency") == 3, flags
 
 
 def test_bruteforce_memo_answers_by_horizon(search_horizons):
@@ -306,7 +330,7 @@ def test_period_shares_one_search_and_one_charpoly(search_horizons,
     g = unitary_cayley_graph(make_ring("Z12"))
     for _ in range(3):
         assert walks.period(g) == 12
-        assert walks.find_pst(g).period == 12
+        assert walks.find_pst(g).bound == 12 - 1  # tau < period(g)
     assert search_horizons == [12] and charpoly_sizes == [12]
 
 
@@ -726,8 +750,9 @@ def test_classifier_recovers_chosen_factors(monkeypatch):
 
 
 def test_pst_on_even_cycles():
-    rep = walks.find_pst(Graph.cycle(4))
-    assert rep.periodic and rep.period == 4
+    c4 = Graph.cycle(4)
+    rep = walks.find_pst(c4)
+    assert walks.period(c4) == 4
     assert [(p.source, p.target, p.time, p.phase) for p in rep.pairs] == [
         (0, 2, 2, 1), (2, 0, 2, 1)]
     rep = walks.find_pst(Graph.cycle(6))
@@ -741,15 +766,16 @@ def test_pst_on_even_cycles():
 def test_pst_on_unitary_graph_z12():
     g = unitary_cayley_graph(make_ring("Z12"))
     rep = walks.find_pst(g)
-    assert rep.period == 12
+    assert walks.period(g) == 12
     assert [(p.source, p.target, p.time, p.phase) for p in rep.pairs] == [
         (0, 6, 6, 1), (6, 0, 6, 1)]
 
 
 def test_no_pst_on_odd_cycles():
     for n in (3, 5, 7):
-        rep = walks.find_pst(Graph.cycle(n))
-        assert rep.periodic and not rep.has_pst
+        g = Graph.cycle(n)
+        rep = walks.find_pst(g)
+        assert walks.period(g) is not None and not rep.has_pst
 
 
 def test_pst_pruned_on_vertex_transitive_nonperiodic():
