@@ -18,8 +18,9 @@ likewise computed once, on first use, and every caller reads that value.
 
 An isomorphism is a `Permutation` that its caller constructs
 (ringwalk.verify builds its witnesses from ring residues), and
-`_verify_mapping` checks it edge by edge.  One colour-refinement kernel,
-`refine`, gives the equitable quotient of ringwalk.walks.
+`_verify_mapping` checks it edge by edge, raising InconsistencyError
+when it fails.  One colour-refinement kernel, `refine`, gives the
+equitable quotient of ringwalk.walks.
 """
 
 from __future__ import annotations
@@ -352,11 +353,13 @@ class Permutation:
         return f"Permutation{self.mapping}"
 
 
-def _verify_mapping(g: Graph, h: Graph, perm: Permutation) -> bool:
-    """True iff the bijection perm maps g onto h, checked in O(|E|)."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    return all(h.adjacent(perm(u), perm(v)) for u, v in g.edges)
+def _verify_mapping(g: Graph, h: Graph, perm: Permutation, what: str):
+    """Check in O(|E|) that the bijection perm maps g onto h, and raise
+    InconsistencyError naming `what` if it does not."""
+    if g.n != h.n or len(g.edges) != len(h.edges) or not all(
+            h.adjacent(perm(u), perm(v)) for u, v in g.edges):
+        raise InconsistencyError(f"{what}: the constructed witness is not an "
+                                 f"isomorphism")
 
 
 # -- export ----------------------------------------------------------------

@@ -106,6 +106,14 @@ def try_divide(p, g):
     return q if not r else None
 
 
+def divide_out(p, g):
+    """(p / g^m, m) for the largest m with g^m | p (g monic)."""
+    mult = 0
+    while (q := try_divide(p, g)) is not None:
+        p, mult = q, mult + 1
+    return p, mult
+
+
 def poly_str(p, var: str = "x") -> str:
     p = trim(p)
     if not p:

@@ -2,12 +2,17 @@
 
 A finite commutative unital ring splits uniquely into local factors; every
 prediction here is a function of the local invariants (residue field sizes
-q_i and maximal ideal sizes m_i).  The unit-connection graph always has a
-product formula for its spectrum.  The square-connection graph has one in
-two regimes: all residue sizes 1 mod 4 (the connection is exactly the
-square units), or exactly one residue size 3 mod 4 (the odd factor's
-connection closes up to its full unit group).  Outside those regimes no
-closed form is claimed and the predicates answer "not applicable".
+q_i and maximal ideal sizes m_i).  Both graph families are tensor products
+over the local factors, so each predicted spectrum is one product rule:
+each factor contributes a table of (value, multiplicity) rows, and the
+rows multiply across the factors.  A unit table (the complete q-partite
+graph with parts of size m) serves every factor of the unit-connection
+graph.  The square-connection graph is covered in two regimes: all
+residue sizes 1 mod 4, where every factor takes a Paley table (Paley(q)
+tensored with the loop-complete block on m elements), or exactly one
+residue size 3 mod 4, whose factor's connection closes up to its full
+unit group and so takes a unit table.  Outside those regimes no closed
+form is claimed and the predicates answer "not applicable".
 
 verify_ring runs every applicable prediction against the walk engine's
 ground truth: the predicted characteristic polynomial vs the computed one,
@@ -131,24 +136,35 @@ def _merge(values, regularity, n, formula):
     return PredictedSpectrum(pairs, regularity, n, formula)
 
 
-def predicted_unitary_spectrum(ring: ProductRing) -> PredictedSpectrum:
-    """Spectrum of the unit-connection graph from the local residue data.
+def _unit_table(q: int, m: int) -> list:
+    """(value, mult) rows of a local factor's unit graph, complete q-partite
+    with parts of size m (the cosets of the maximal ideal)."""
+    return [((q - 1) * m, 1), (-m, q - 1), (0, q * m - q)]
 
-    The graph is the tensor product over local factors, each factor a
-    complete multipartite graph with parts the cosets of the maximal
-    ideal; eigenvalue (-1)^|C| |units| / prod_{j in C} (q_j - 1) appears
-    with multiplicity prod_{j in C} (q_j - 1), and 0 fills the rest.
-    """
-    qs = ring.residues
-    units = ring.unit_count()
-    values = []
-    for picks in itertools.product((0, 1), repeat=len(qs)):
-        chosen = [q - 1 for q, i in zip(qs, picks) if i]
-        denom = math.prod(chosen)
-        sign = -1 if len(chosen) % 2 else 1
-        values.append((Fraction(sign * units, denom), denom))
-    values.append((Fraction(0), ring.order - math.prod(qs)))
-    return _merge(values, units, ring.order, "unit-tensor")
+
+def _paley_table(q: int, m: int) -> list:
+    """(value, mult) rows of a local factor's square graph for q = 1 mod 4:
+    Paley(q) tensored with the loop-complete block on m elements."""
+    branch = Fraction(m, 2) * Surd.sqrt(q)
+    return [((q - 1) * m // 2, 1), (branch - Fraction(m, 2), (q - 1) // 2),
+            (-branch - Fraction(m, 2), (q - 1) // 2), (0, q * m - q)]
+
+
+def _tensor_spectrum(ring: ProductRing, tables,
+                     formula: str) -> PredictedSpectrum:
+    """The tensor product over the local factors, one table per factor:
+    eigenvalues and multiplicities multiply across the factors, and the
+    leading (degree) values multiply to the regularity."""
+    rows = [(math.prod(v for v, _ in pick), math.prod(m for _, m in pick))
+            for pick in itertools.product(*tables)]
+    return _merge(rows, math.prod(t[0][0] for t in tables), ring.order,
+                  formula)
+
+
+def predicted_unitary_spectrum(ring: ProductRing) -> PredictedSpectrum:
+    """Spectrum of the unit-connection graph: a unit table per factor."""
+    return _tensor_spectrum(ring, [_unit_table(q, m) for q, m in zip(
+        ring.residues, ring.ideal_sizes)], "unit-tensor")
 
 
 def quadratic_regime(ring: ProductRing):
@@ -171,60 +187,18 @@ def quadratic_regime(ring: ProductRing):
     return None
 
 
-def _paley_tensor_values(qs, ms):
-    """(value, mult) pairs for the all-1-mod-4 square-connection product.
-
-    Each local factor contributes k_i = (q_i-1) m_i / 2 once, and the two
-    conjugate Paley branches k_i/(sqrt(q_i)+1) and -k_i/(sqrt(q_i)-1) with
-    multiplicity (q_i-1)/2 each; factor eigenvalues multiply across the
-    product.  Zero is NOT included here: the caller fills it.
-    """
-    s = len(qs)
-    units = math.prod((q - 1) * m for q, m in zip(qs, ms))
-    top = Fraction(units, 2 ** s)
-    values = []
-    for assign in itertools.product((0, 1, 2), repeat=s):
-        val = Surd(top)
-        mult = 1
-        for q, a in zip(qs, assign):
-            if a == 1:
-                val = val / (Surd.sqrt(q) + 1)
-                mult *= (q - 1) // 2
-            elif a == 2:
-                val = val / (1 - Surd.sqrt(q))
-                mult *= (q - 1) // 2
-        values.append((val, mult))
-    return values
-
-
 def predicted_quadratic_spectrum(ring: ProductRing) -> PredictedSpectrum:
-    """Spectrum of the square-connection graph in the two covered regimes."""
+    """Spectrum of the square-connection graph in the two covered regimes:
+    a Paley table per factor, and a unit table for the one 3-mod-4 factor."""
     regime = quadratic_regime(ring)
-    qs = ring.residues
-    ms = ring.ideal_sizes
-    if regime == "all-1-mod-4":
-        s = len(qs)
-        values = _paley_tensor_values(qs, ms)
-        values.append((Fraction(0), ring.order - math.prod(qs)))
-        k = ring.unit_count() // 2 ** s
-        return _merge(values, k, ring.order, "paley-tensor")
-    if regime == "one-3-mod-4":
-        i0 = next(i for i, q in enumerate(qs) if q % 4 == 3)
-        q0, m0 = qs[i0], ms[i0]
-        rest_q = [q for i, q in enumerate(qs) if i != i0]
-        rest_m = [m for i, m in enumerate(ms) if i != i0]
-        u0 = (q0 - 1) * m0
-        inner = _paley_tensor_values(rest_q, rest_m) if rest_q else [(Surd(1), 1)]
-        values = []
-        for val, mult in inner:
-            values.append((u0 * val, mult))
-            values.append((val * Fraction(-u0, q0 - 1), (q0 - 1) * mult))
-        values.append((Fraction(0), ring.order - math.prod(qs)))
-        k = u0 * (math.prod((q - 1) * m for q, m in zip(rest_q, rest_m))
-                  // 2 ** len(rest_q))
-        return _merge(values, k, ring.order, "units-times-paley-tensor")
-    raise FormulaNotApplicable(
-        f"no closed-form spectrum for {ring.token}: residue sizes {qs}")
+    if regime is None:
+        raise FormulaNotApplicable(f"no closed-form spectrum for {ring.token}: "
+                                   f"residue sizes {ring.residues}")
+    tables = [(_paley_table if q % 4 == 1 else _unit_table)(q, m)
+              for q, m in zip(ring.residues, ring.ideal_sizes)]
+    formula = "paley-tensor" if regime == "all-1-mod-4" else \
+        "units-times-paley-tensor"
+    return _tensor_spectrum(ring, tables, formula)
 
 
 def predicted_periodic_unitary(ring: ProductRing) -> bool:
@@ -310,13 +284,6 @@ def _residue_keys(ring: ProductRing) -> list:
     return keys
 
 
-def _checked(g: Graph, h: Graph, perm: Permutation, what: str) -> Permutation:
-    if not _verify_mapping(g, h, perm):
-        raise InconsistencyError(f"{what}: the constructed witness is not an "
-                                 f"isomorphism")
-    return perm
-
-
 def local_quadratic_splitting(ring: ProductRing):
     """Witness that a local ring's square-connection graph splits.
 
@@ -342,7 +309,8 @@ def local_quadratic_splitting(ring: ProductRing):
     index = {label.comps: i for i, label in enumerate(base.labels)}
     perm = Permutation(index[res] * m + rank
                        for res, rank in _residue_keys(ring))
-    return g, model, _checked(g, model, perm, f"splitting of {ring.token}")
+    _verify_mapping(g, model, perm, f"splitting of {ring.token}")
+    return g, model, perm
 
 
 def unitary_isomorphism(a: ProductRing, b: ProductRing) -> Permutation:
@@ -360,8 +328,9 @@ def unitary_isomorphism(a: ProductRing, b: ProductRing) -> Permutation:
                          f"residue ring")
     target = {key: v for v, key in enumerate(_residue_keys(b))}
     perm = Permutation(target[key] for key in _residue_keys(a))
-    return _checked(unitary_cayley_graph(a), unitary_cayley_graph(b), perm,
+    _verify_mapping(unitary_cayley_graph(a), unitary_cayley_graph(b), perm,
                     f"{a.token} ~ {b.token}")
+    return perm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -443,8 +412,9 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
         found = {}
         for p, m in report.factors:
             for f in predicted:
-                while (q := intpoly.try_divide(p, f)) is not None:
-                    p, found[f] = q, found.get(f, 0) + m * copies
+                p, r = intpoly.divide_out(p, f)
+                if r:
+                    found[f] = found.get(f, 0) + r * m * copies
             if len(p) > 1:
                 found[p] = found.get(p, 0) + m * copies
         if found != predicted:

@@ -495,14 +495,6 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-def _divide_out(residual, factor):
-    """(residual / factor^m, m) for the largest m with factor^m | residual."""
-    mult = 0
-    while (q := intpoly.try_divide(residual, factor)) is not None:
-        residual, mult = q, mult + 1
-    return residual, mult
-
-
 def _scaled_cos_poly(n: int, k: int):
     """Minimal poly of k*cos(2 pi/n) in lambda, or None if not integral."""
     psi = two_cos_minimal_poly(n)
@@ -607,7 +599,7 @@ def _classify_factor(p: tuple, k: int):
     for r in range(k, -k - 1, -1):  # r = 0 divides nothing: the zeros are out
         if not r or residual[0] % r:
             continue
-        residual, mult = _divide_out(residual, (-r, 1))
+        residual, mult = intpoly.divide_out(residual, (-r, 1))
         if mult:
             order = _angle_order((-r, 1), k)
             lines.append(SpectralLine(Fraction(r, k), mult, 1,
@@ -630,7 +622,7 @@ def _classify_factor(p: tuple, k: int):
                 # a non-square discriminant leaves Q(+-1) nonzero
                 if at_one % (1 - t + s) or at_minus_one % (1 + t + s):
                     continue
-                residual, mult = _divide_out(residual, (s, -t, 1))
+                residual, mult = intpoly.divide_out(residual, (s, -t, 1))
                 if mult:
                     root = Surd.sqrt(disc)
                     order = _angle_order((s, -t, 1), k)
@@ -652,7 +644,7 @@ def _classify_factor(p: tuple, k: int):
             if 3 <= deg_n <= d:
                 scaled = _scaled_cos_poly(n_cand, k)
                 if scaled is not None:
-                    residual, mult = _divide_out(residual, scaled)
+                    residual, mult = intpoly.divide_out(residual, scaled)
                     if mult:
                         lines.append(SpectralLine(None, mult, deg_n, True,
                                                   n_cand, scaled))

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,17 @@ def _run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_python_dash_m_is_the_command_line(capsys):
+    """`python -m ringwalk` runs cli.main once, with nothing on stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["ring", "Z2", "--format", "json"]
+    done = subprocess.run([sys.executable, "-m", "ringwalk", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == _run(capsys, *argv)[1]
 
 
 def test_ring_text_output(capsys):

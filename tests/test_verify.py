@@ -1,10 +1,12 @@
 """Closed-form spectrum predictions and the ring verification harness."""
 
 import dataclasses
+import json
+from collections import Counter
 
 import pytest
 
-from ringwalk import intpoly, verify, walks
+from ringwalk import cli, intpoly, verify, walks
 from ringwalk.errors import FormulaNotApplicable
 from ringwalk.graphs import (quadratic_unitary_cayley_graph,
                              unitary_cayley_graph)
@@ -82,6 +84,62 @@ def test_multiquadratic_closed_form_matches_the_graph():
     assert max(len(as_surd(v).conjugates()) for v, _ in pred.pairs) == 4
     g = quadratic_unitary_cayley_graph(ring)
     assert pred.charpoly() == intpoly.charpoly(g.adjacency_matrix())
+
+
+def _local_table_cases():
+    for n in range(2, 129):
+        for f in local_catalog(n):
+            ring, q = ProductRing([f]), f.residue_size
+            yield ring, unitary_cayley_graph, verify._unit_table
+            if q % 4 == 1:
+                yield ring, quadratic_unitary_cayley_graph, verify._paley_table
+            elif q % 4 == 3:  # the one-3-mod-4 regime's unit factor
+                yield ring, quadratic_unitary_cayley_graph, verify._unit_table
+
+
+def test_local_tables_match_the_character_route_to_order_128():
+    """Each table, alone, predicts its local ring's graph: the table's
+    irreducibles divide the character route's factors exactly, with the
+    same multiplicities."""
+    cases = list(_local_table_cases())
+    for ring, build, table in cases:
+        q, m = ring.residues[0], ring.ideal_sizes[0]
+        predicted = dict(verify._tensor_spectrum(
+            ring, [table(q, m)], table.__name__).factors())
+        g = build(ring)
+        found = {}
+        for p, mult in intpoly.cayley_factors(g.cayley[0], g.connection, g.n):
+            for f in predicted:
+                p, r = intpoly.divide_out(p, f)
+                if r:
+                    found[f] = found.get(f, 0) + r * mult
+            if len(p) > 1:
+                found[p] = found.get(p, 0) + mult
+        assert found == predicted, (ring.token, table.__name__)
+    assert Counter((b.__name__, t.__name__) for _, b, t in cases) == {
+        ("unitary_cayley_graph", "_unit_table"): 70,
+        ("quadratic_unitary_cayley_graph", "_paley_table"): 24,
+        ("quadratic_unitary_cayley_graph", "_unit_table"): 27}
+
+
+@pytest.mark.parametrize("family, cli_family", [
+    ("unitary", "unitary"), ("quadratic", "quadratic-unitary")])
+def test_forged_table_fails_verification(family, cli_family, monkeypatch,
+                                         capsys):
+    """A unit table with its -m and 0 multiplicities swapped keeps their
+    sum, so only the spectrum comparison can catch it; Z9 takes a unit
+    table in both families."""
+    real = verify._unit_table
+    monkeypatch.setattr(verify, "_unit_table", lambda q, m: [
+        real(q, m)[0], (-m, q * m - q), (0, q - 1)])
+    rec = verify.verify_ring(make_ring("Z9"), family)
+    assert rec.spectrum_verified is False
+    assert rec.failures == ("predicted spectrum != computed spectrum",)
+    assert cli.main(["verify", "--max-order", "9", "--family",
+                     cli_family]) == 2
+    z9 = next(r for r in json.loads(capsys.readouterr().out)["records"]
+              if r["ring"] == "Z9")
+    assert z9["details"] == ["predicted spectrum != computed spectrum"]
 
 
 def test_quadratic_spectrum_rejects_even_residues():
