@@ -54,10 +54,11 @@ def _family_graph(ring, family):
 # -- ring ------------------------------------------------------------------
 
 def _element_block(ring, elements):
+    """`elements` come sorted by RingElement.sort_key, the order of `<`."""
     listed = ring.order <= DEFAULT_ORDER_CAP
     return {
         "count": len(elements),
-        "elements": [str(x) for x in sorted(elements)] if listed else None,
+        "elements": [str(x) for x in elements] if listed else None,
     }
 
 

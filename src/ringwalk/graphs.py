@@ -99,19 +99,6 @@ class Graph:
         return cls(n, edges, allow_loops=True, name=f"K°{n}",
                    cayley=_cyclic(n))
 
-    @classmethod
-    def from_adjacency(cls, mat, labels=None, **kw) -> "Graph":
-        mat = [list(row) for row in mat]
-        n = len(mat)
-        if any(len(row) != n for row in mat) or any(
-                mat[u][v] != mat[v][u] for u in range(n) for v in range(u)):
-            raise ValueError("adjacency must be square symmetric")
-        if any(x not in (0, 1) for row in mat for x in row):
-            raise ValueError("adjacency entries must be 0/1")
-        edges = [(u, v) for u in range(n) for v in range(u, n) if mat[u][v]]
-        loops = any(mat[u][u] for u in range(n))
-        return cls(n, edges, labels=labels, allow_loops=loops, **kw)
-
     # -- structure ---------------------------------------------------------
 
     def adjacency_matrix(self) -> list[list[int]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .errors import InconsistencyError
 
@@ -382,9 +382,7 @@ def cayley_factors(moduli, connection, n: int) -> tuple:
     raised, so the degrees times the multiplicities sum to n.  No
     polynomial of degree above phi(e) is formed.
     """
-    e = 1
-    for m in moduli:
-        e = e * m // gcd(e, m)
+    e = lcm(*moduli)
     exps = [(0,) * len(connection)]
     for j, m in enumerate(moduli):
         step = [e // m * s[j] for s in connection]

@@ -273,18 +273,6 @@ class RingElement:
         return RingElement(self.ring, tuple(
             f.mul(a, b) for f, a, b in zip(self.ring.factors, self.comps, other.comps)))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined")
-        out = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def is_unit(self) -> bool:
         return all(f.is_unit(a) for f, a in zip(self.ring.factors, self.comps))
 
@@ -472,50 +460,38 @@ def is_s_ring(ring: ProductRing) -> bool:
 # -- construction ----------------------------------------------------------
 
 _FACTOR_RE = re.compile(
-    r"^(?:Z(?P<zn>\d+)|GF\((?P<gf>\d+)\)|G\((?P<gp>\d+)\)|Zp\[(?P<pp>\d+),(?P<pk>\d+)\])$")
+    r"^(?:Z(?P<Z>\d+)|GF\((?P<GF>\d+)\)|G\((?P<G>\d+)\)|Zp\[(?P<p>\d+),(?P<Zp>\d+)\])$")
 
 
-def _declared_order(m, cap: int) -> int:
-    """The order a parsed factor spells, or cap + 1 when that is larger.
-
-    Found without factoring, primality tests or powers past the cap: a
-    prime p >= 2 raised past cap.bit_length() already exceeds cap.
-    """
-    if m.group("zn") is not None:
-        n = int(m.group("zn"))
-    elif m.group("gf") is not None:
-        n = int(m.group("gf"))
-    elif m.group("gp") is not None:
-        n = int(m.group("gp")) ** 2
-    else:
-        n = int(m.group("pp")) ** min(int(m.group("pk")), cap.bit_length())
-    return min(n, cap + 1)
+def _parse_factor(part: str) -> tuple:
+    """(kind, base, exponent) of one factor: its order is base ** exponent."""
+    m = _FACTOR_RE.match(part)
+    if not m:
+        raise ValueError(f"cannot parse ring factor {part!r}")
+    kind = m.lastgroup  # the last group matched names the factor's kind
+    if kind == "Zp":
+        return kind, int(m["p"]), int(m["Zp"])
+    return kind, int(m[kind]), 2 if kind == "G" else 1
 
 
-def _build_factor(m) -> list:
-    if m.group("zn") is not None:
-        n = int(m.group("zn"))
-        if n < 2:
-            raise ValueError(f"Z{n} is not a ring with identity of order >= 2")
-        return [ResidueRing(p, k) for p, k in factorize(n)]
-    if m.group("gf") is not None:
-        q = int(m.group("gf"))
-        pw = _prime_power(q)
+def _build_factor(kind: str, base: int, exponent: int) -> list:
+    if kind == "Z":
+        if base < 2:
+            raise ValueError(f"Z{base} is not a ring with identity of order >= 2")
+        return [ResidueRing(p, k) for p, k in factorize(base)]
+    if kind == "GF":
+        pw = _prime_power(base)
         if pw is None:
-            raise ValueError(f"GF({q}) needs a prime power")
+            raise ValueError(f"GF({base}) needs a prime power")
         p, n = pw
         return [ResidueRing(p, 1) if n == 1 else GaloisField(p, n)]
-    if m.group("gp") is not None:
-        p = int(m.group("gp"))
-        if not _is_prime(p):
-            raise ValueError(f"G({p}) needs a prime")
-        return [TruncatedPolynomialRing(p, 2)]
-    p, k = int(m.group("pp")), int(m.group("pk"))
-    if not _is_prime(p):
-        raise ValueError(f"Zp[{p},{k}] needs a prime")
-    if k < 1:
+    if not _is_prime(base):
+        name = f"G({base})" if kind == "G" else f"Zp[{base},{exponent}]"
+        raise ValueError(f"{name} needs a prime")
+    if exponent < 1:
         raise ValueError("Zp[p,k] needs k >= 1")
-    return [ResidueRing(p, 1) if k == 1 else TruncatedPolynomialRing(p, k)]
+    return [ResidueRing(base, 1) if exponent == 1
+            else TruncatedPolynomialRing(base, exponent)]
 
 
 def make_ring(spec: str, cap: int | None = None) -> ProductRing:
@@ -523,7 +499,9 @@ def make_ring(spec: str, cap: int | None = None) -> ProductRing:
 
     With a cap, a spec whose order exceeds it raises SizeCapExceeded; each
     factor's order is checked before that factor is factored or tested for
-    primality.  Without one, any order is built.
+    primality, and without powers past the cap: a base >= 2 raised past
+    cap.bit_length() (at least 1, so Z0 stays 0) already exceeds it.
+    Without a cap, any order is built.
     """
     factors = []
     order = 1
@@ -531,14 +509,12 @@ def make_ring(spec: str, cap: int | None = None) -> ProductRing:
         part = part.strip()
         if not part:
             raise ValueError(f"empty factor in ring spec {spec!r}")
-        m = _FACTOR_RE.match(part)
-        if not m:
-            raise ValueError(f"cannot parse ring factor {part!r}")
+        kind, base, exponent = _parse_factor(part)
         if cap is not None:
-            order *= _declared_order(m, cap)
+            order *= min(base ** min(exponent, cap.bit_length() or 1), cap + 1)
             if order > cap:
                 raise SizeCapExceeded(f"ring {spec!r} exceeds the order cap {cap}")
-        factors.extend(_build_factor(m))
+        factors.extend(_build_factor(kind, base, exponent))
     return ProductRing(factors)
 
 

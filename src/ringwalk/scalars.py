@@ -10,8 +10,9 @@ terms is interchangeable with a plain :class:`~fractions.Fraction`.
 
 This is all the field arithmetic the walk machinery needs: eigenvalues of
 the graphs under study are rational or quadratic, and the closed-form
-spectra of product rings live in multiquadratic fields.  Division is exact
-(iterated conjugation).
+spectra of product rings live in multiquadratic fields.  Division is by
+rationals only, which is all the classifier needs ((t +- sqrt(d))/2 and
+lambda/k); dividing by an irrational Surd is not supported.
 """
 
 from __future__ import annotations
@@ -132,34 +133,13 @@ class Surd:
             orbit += [x._conjugate(p) for x in orbit]
         return tuple(dict.fromkeys(orbit))
 
-    def inverse(self) -> "Surd":
-        if not self._terms:
-            raise ZeroDivisionError("division by zero Surd")
-        # Multiply by conjugates until the denominator is rational.
-        num = Surd(1)
-        den = self
-        while not den.is_rational:
-            p = min(min(k) for k in den._terms if k != _RAT)
-            conj = den._conjugate(p)
-            num = num * conj
-            den = den * conj
-            # den now has no sqrt(p); the loop strictly shrinks the radical set
-        return num * Surd(1 / den.as_fraction())
-
     def __truediv__(self, other):
+        """Division by a rational; an irrational divisor is not supported."""
         o = self._coerce(other)
-        if o is None:
+        if o is None or not o.is_rational:
             return NotImplemented
-        if o.is_rational:
-            q = o.as_fraction()
-            return Surd(_terms={k: v / q for k, v in self._terms.items()})
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        q = o.as_fraction()
+        return Surd(_terms={k: v / q for k, v in self._terms.items()})
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -173,7 +153,8 @@ class Surd:
         return self._terms == o._terms
 
     def __hash__(self):
-        return hash(self._key())
+        # a rational Surd equals, so must hash as, the Fraction it is
+        return hash(self.as_fraction() if self.is_rational else self._key())
 
     def __bool__(self):
         return bool(self._terms)

@@ -61,13 +61,6 @@ __all__ = [
 ORACLE_HORIZON = 120  # brute force's horizon on an aperiodic verdict
 
 
-def _canon(value):
-    """Normalize spectrum values so equal numbers collide as dict keys."""
-    if isinstance(value, Surd):
-        return value.as_fraction() if value.is_rational else value
-    return Fraction(value)
-
-
 @dataclasses.dataclass(frozen=True)
 class PredictedSpectrum:
     """Eigenvalues of an adjacency matrix as (value, multiplicity) pairs."""
@@ -87,12 +80,12 @@ class PredictedSpectrum:
         enter, never a computed spectrum.  Anything else means the formula
         produced an impossible spectrum, and raises InconsistencyError.
         """
-        left = {_canon(v): m for v, m in self.pairs}
+        left = dict(self.pairs)
         out = []
         for value, mult in list(left.items()):
             if value not in left:
                 continue  # done with an earlier conjugate
-            orbit = [_canon(c) for c in as_surd(value).conjugates()]
+            orbit = as_surd(value).conjugates()
             if any(left.pop(c, None) != mult for c in orbit):
                 raise InconsistencyError(
                     f"{self.formula} lists {value} without every conjugate "
@@ -126,8 +119,7 @@ def _merge(values, regularity, n, formula):
     acc = {}
     for value, mult in values:
         if mult:
-            key = _canon(value)
-            acc[key] = acc.get(key, 0) + mult
+            acc[value] = acc.get(value, 0) + mult
     pairs = tuple(sorted(acc.items(), key=lambda p: sort_key(p[0])))
     total = sum(m for _, m in pairs)
     if total != n:

@@ -26,9 +26,10 @@ graph carries a verified Cayley structure (`intpoly.cayley_factors`, each
 a power of one irreducible polynomial of degree at most phi(e)), the
 dense charpoly as one factor otherwise.  It factors each over the
 integers and recognises every eigenvalue mu = lambda/k that is the cosine
-of a rational angle, by `two_cos_minimal_poly`: those are the only spectra
-a periodic walk can have.  No polynomial of degree n is formed on the
-character route unless `SpectralReport.charpoly` is asked for.
+of a rational angle, by `two_cos_minimal_poly`: only those occur in a
+periodic walk, and their angle orders give its exact period by the
+spectral mapping theorem (`SpectralReport.period`).  No polynomial of
+degree n is formed on the character route.
 Each input precondition has one `_check_*` helper; TAU_CAP bounds tau.
 
 Each graph is analysed once.  Its `WalkAnalysis`, kept on the graph and
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -440,9 +440,13 @@ class SpectralLine:
     mu: object
     multiplicity: int
     degree: int
-    allowed: bool
     angle_order: int | None
     lam_poly: tuple | None = None
+
+    @property
+    def allowed(self) -> bool:
+        """Is mu the cosine of a rational angle (of order `angle_order`)?"""
+        return self.angle_order is not None
 
     def mu_str(self) -> str:
         if self.mu is not None:
@@ -454,8 +458,7 @@ class SpectralLine:
 class SpectralReport:
     """Exact eigenvalue classification of P = A/k.
 
-    `factors` are the (P, multiplicity) pairs whose product is char(A);
-    `charpoly` multiplies them out on first use.
+    `factors` are the (P, multiplicity) pairs whose product is char(A).
     """
 
     n: int
@@ -464,19 +467,25 @@ class SpectralReport:
     lines: tuple
     unfactored: tuple | None
 
-    @functools.cached_property
-    def charpoly(self) -> tuple:
-        return intpoly.expand(self.factors)
-
     @property
     def periodic(self) -> bool:
         return self.unfactored is None and all(l.allowed for l in self.lines)
 
     @property
-    def period_bound(self):
+    def period(self):
+        """The exact least period of U on a connected graph, or None: U has
+        the eigenvalues e^(+-i theta), cos theta = mu, of the angle orders,
+        and -1 iff |E| > n, i.e. k > 2 (the spectral mapping theorem: Emms,
+        Hancock, Severini & Wilson 2006; Higuchi, Konno, Sato & Segawa 2014)."""
         if not self.periodic:
             return None
-        return math.lcm(2, *(line.angle_order for line in self.lines))
+        return math.lcm(2 if self.k > 2 else 1,
+                        *(line.angle_order for line in self.lines))
+
+    @property
+    def period_bound(self):
+        """lcm(2, period): the period's bound from the angle orders alone."""
+        return None if self.period is None else math.lcm(2, self.period)
 
     def eigenvalues(self):
         """Distinct (mu, multiplicity) pairs; degree > 2 lines raise."""
@@ -594,16 +603,14 @@ def _classify_factor(p: tuple, k: int):
         residual = residual[1:]
         zeros += 1
     if zeros:
-        lines.append(SpectralLine(Fraction(0), zeros, 1, True,
-                                  _angle_order((0, 1), k)))
+        lines.append(SpectralLine(Fraction(0), zeros, 1, _angle_order((0, 1), k)))
     for r in range(k, -k - 1, -1):  # r = 0 divides nothing: the zeros are out
         if not r or residual[0] % r:
             continue
         residual, mult = intpoly.divide_out(residual, (-r, 1))
         if mult:
-            order = _angle_order((-r, 1), k)
             lines.append(SpectralLine(Fraction(r, k), mult, 1,
-                                      order is not None, order))
+                                      _angle_order((-r, 1), k)))
     if intpoly.degree(residual) >= 2:
         # x^2 - t x + s divides the residual only if s divides its constant
         # term (which only shrinks) and Q(1), Q(-1) divide R(1), R(-1)
@@ -627,8 +634,7 @@ def _classify_factor(p: tuple, k: int):
                     root = Surd.sqrt(disc)
                     order = _angle_order((s, -t, 1), k)
                     for lam in ((t + root) / 2, (t - root) / 2):
-                        lines.append(SpectralLine(lam / k, mult, 2,
-                                                  order is not None, order))
+                        lines.append(SpectralLine(lam / k, mult, 2, order))
                     c0 = abs(residual[0]) if residual and residual[0] else 1
                     at_one, at_minus_one = (intpoly.evaluate(residual, 1),
                                             intpoly.evaluate(residual, -1))
@@ -646,7 +652,7 @@ def _classify_factor(p: tuple, k: int):
                 if scaled is not None:
                     residual, mult = intpoly.divide_out(residual, scaled)
                     if mult:
-                        lines.append(SpectralLine(None, mult, deg_n, True,
+                        lines.append(SpectralLine(None, mult, deg_n,
                                                   n_cand, scaled))
                         d = intpoly.degree(residual)
             n_cand += 1
@@ -669,11 +675,11 @@ def period(g: Graph, tau_max: int = 0):
     The one comparison of the engine's periodicity routes: the classifier
     decides, and brute force, which never sees the spectrum, must agree or
     InconsistencyError is raised (also under python -O).  On a periodic
-    verdict brute force searches to max(bound, tau_max), for the divisor
-    bound lcm(angle orders), and its least tau must divide the bound; on
+    verdict brute force searches to max(period, tau_max), for the period
+    `SpectralReport.period` predicts, and its least tau must equal it; on
     an aperiodic one it must find no tau <= tau_max, and is not run at 0.
-    tau_max and the bound must lie in 0..TAU_CAP.  A disconnected graph
-    raises ValueError whatever its spectrum.
+    tau_max and the predicted period must lie in 0..TAU_CAP.  A
+    disconnected graph raises ValueError whatever its spectrum.
     """
     _check_tau(tau_max)
     _check_connected(g)
@@ -684,11 +690,11 @@ def period(g: Graph, tau_max: int = 0):
                 f"classifier says {g!r} is aperiodic, brute force found "
                 f"period {tau}")
         return None
-    bound = report.period_bound
-    tau = bruteforce_period(g, max(bound, tau_max))
-    if tau is None or bound % tau:
+    predicted = report.period
+    tau = bruteforce_period(g, max(predicted, tau_max))
+    if tau != predicted:
         raise InconsistencyError(
-            f"classifier bounds the period of {g!r} by {bound}, brute force "
+            f"the spectrum gives {g!r} the period {predicted}, brute force "
             f"found {tau}")
     return tau
 
@@ -711,7 +717,6 @@ class PSTReport:
 
     pairs: tuple
     bound: int
-    sources: tuple
     pruned_by_transitivity: bool = False
 
     @property
@@ -744,7 +749,7 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
     if per is not None:
         bound = per - 1
     elif g.vertex_transitive:
-        return PSTReport((), 0, (), pruned_by_transitivity=True)
+        return PSTReport((), 0, pruned_by_transitivity=True)
     else:
         if tau_max is None:
             raise ValueError("tau_max is required when the walk is not periodic "
@@ -775,4 +780,4 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
                     hits.add(PSTPair(u, v, tau, phase))
                     hits.add(PSTPair(v, u, tau, phase))  # T_tau(P) is symmetric
     pairs = tuple(sorted(hits, key=lambda h: (h.time, h.source, h.target)))
-    return PSTReport(pairs, bound, sources)
+    return PSTReport(pairs, bound)

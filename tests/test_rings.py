@@ -65,7 +65,7 @@ def test_element_arithmetic():
     assert ring.to_integer(a + b) == 3
     assert ring.to_integer(a * b) == 8
     assert ring.to_integer(-a) == 5
-    assert ring.to_integer(a ** 2) == 1
+    assert ring.to_integer(a * a) == 1
     assert a.is_unit() and not b.is_unit()
 
 
@@ -157,6 +157,67 @@ def test_make_ring_cap_bounds_the_product():
     with pytest.raises(ValueError):
         make_ring("Zp[1,5]", cap=36)
     assert make_ring("GF(128)").order == 128  # no cap without one
+
+
+CAP = "SizeCapExceeded"
+
+
+def _at_every_cap(outcome):
+    return (outcome,) * 4
+
+
+# spec, then its outcome at cap None, 1, 2 and 36: (token, order), CAP for
+# SizeCapExceeded, or the message of the ValueError raised
+_SPEC_OUTCOMES = [
+    ("Z0", *_at_every_cap("Z0 is not a ring with identity of order >= 2")),
+    ("Z1", *_at_every_cap("Z1 is not a ring with identity of order >= 2")),
+    ("Z2", ("Z2", 2), CAP, ("Z2", 2), ("Z2", 2)),
+    ("Z12", ("Z3 x Z4", 12), CAP, CAP, ("Z3 x Z4", 12)),
+    ("Z36", ("Z9 x Z4", 36), CAP, CAP, ("Z9 x Z4", 36)),
+    ("Z37", ("Z37", 37), CAP, CAP, CAP),
+    ("GF(1)", *_at_every_cap("GF(1) needs a prime power")),
+    ("GF(4)", ("GF(4)", 4), CAP, CAP, ("GF(4)", 4)),
+    ("GF(6)", "GF(6) needs a prime power", CAP, CAP, "GF(6) needs a prime power"),
+    ("GF(49)", ("GF(49)", 49), CAP, CAP, CAP),
+    ("G(2)", ("G(2)", 4), CAP, CAP, ("G(2)", 4)),
+    ("G(4)", "G(4) needs a prime", CAP, CAP, "G(4) needs a prime"),
+    ("G(7)", ("G(7)", 49), CAP, CAP, CAP),
+    ("Zp[2,0]", *_at_every_cap("Zp[p,k] needs k >= 1")),
+    ("Zp[1,5]", *_at_every_cap("Zp[1,5] needs a prime")),
+    ("Zp[4,2]", "Zp[4,2] needs a prime", CAP, CAP, "Zp[4,2] needs a prime"),
+    ("Zp[3,1]", ("Z3", 3), CAP, CAP, ("Z3", 3)),
+    ("Zp[2,6]", ("Zp[2,6]", 64), CAP, CAP, CAP),
+    ("Zp[3,3]", ("Zp[3,3]", 27), CAP, CAP, ("Zp[3,3]", 27)),
+    ("Z6 x Z7", ("Z7 x Z3 x Z2", 42), CAP, CAP, CAP),
+    ("Z2 x GF(4)", ("GF(4) x Z2", 8), CAP, CAP, ("GF(4) x Z2", 8)),
+    ("GF(10000000000000000000000)",
+     "GF(10000000000000000000000) needs a prime power", CAP, CAP, CAP),
+    ("G(10000000000000000000000)",
+     "G(10000000000000000000000) needs a prime", CAP, CAP, CAP),
+    ("Zp[2,100]", ("Zp[2,100]", 2 ** 100), CAP, CAP, CAP),
+    ("Z2 x", "empty factor in ring spec 'Z2 x'", CAP,
+     "empty factor in ring spec 'Z2 x'", "empty factor in ring spec 'Z2 x'"),
+    ("Q5", *_at_every_cap("cannot parse ring factor 'Q5'")),
+]
+
+
+@pytest.mark.parametrize("spec, cap, expected", [
+    (spec, cap, outcome) for spec, *outcomes in _SPEC_OUTCOMES
+    for cap, outcome in zip((None, 1, 2, 36), outcomes)])
+def test_make_ring_outcome_at_each_cap(spec, cap, expected):
+    """Each factor is parsed once; the cap check and the build agree on
+    every spelling, as the table records them."""
+    if expected == CAP:
+        with pytest.raises(errors.SizeCapExceeded) as raised:
+            make_ring(spec, cap)
+        assert str(raised.value) == f"ring {spec!r} exceeds the order cap {cap}"
+    elif isinstance(expected, str):
+        with pytest.raises(ValueError) as raised:
+            make_ring(spec, cap)
+        assert type(raised.value) is ValueError and str(raised.value) == expected
+    else:
+        ring = make_ring(spec, cap)
+        assert (ring.token, ring.order) == expected
 
 
 @pytest.mark.parametrize("spec, moduli", [

