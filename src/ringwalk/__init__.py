@@ -3,8 +3,8 @@
 Rings are finite commutative with unity, given as products of local
 factors (integers mod p^k, truncated polynomial rings, Galois fields).
 Graphs connect elements differing by a unit, or by a square unit up to
-sign.  The walk engine is exact end to end: rational arc matrices,
-integer-scaled powering, characteristic polynomials over the integers,
+sign.  The walk engine is exact end to end: integer-scaled powering of
+the evolution on the arcs, characteristic polynomials over the integers,
 eigenvalues as quadratic (or multiquadratic) irrationals, and
 perfect-state-transfer certificates with explicit times and phases.
 """
@@ -13,8 +13,7 @@ from .errors import FormulaNotApplicable, InconsistencyError, SizeCapExceeded
 from .graphs import (Graph, Permutation, cayley_graph, graph_json,
                      quadratic_unitary_cayley_graph, tensor_product, to_dot,
                      unitary_cayley_graph)
-from .intpoly import charpoly, charpoly_reference, cyclotomic, euler_phi, \
-    two_cos_minimal_poly
+from .intpoly import charpoly, cyclotomic, euler_phi, two_cos_minimal_poly
 from .rings import (ConnectionSet, ProductRing, RingElement, enumerate_rings,
                     is_s_ring, local_catalog, make_ring, quadratic_connection,
                     square_units, units)
@@ -25,11 +24,8 @@ from .verify import (PredictedSpectrum, VerificationRecord, ideal_product,
                      predicted_pst_unitary, predicted_quadratic_spectrum,
                      predicted_unitary_spectrum, quadratic_regime, sweep,
                      unitary_isomorphism, verify_ring)
-from .walks import (PSTPair, PSTReport, RationalMatrix, SpectralLine,
-                    SpectralReport, bruteforce_period, chebyshev_apply,
-                    chebyshev_matrix, classify_spectrum, discriminant,
-                    evolution_power, find_pst, period, time_evolution,
-                    vertex_transfer_matrix)
+from .walks import (PSTPair, PSTReport, SpectralLine, SpectralReport,
+                    bruteforce_period, classify_spectrum, find_pst, period)
 
 # Loaded with the package, so that importing argparse and building the
 # parser are paid at import and not by whichever command runs first.
@@ -42,8 +38,7 @@ __all__ = [
     "Graph", "Permutation", "cayley_graph", "graph_json",
     "quadratic_unitary_cayley_graph", "tensor_product", "to_dot",
     "unitary_cayley_graph",
-    "charpoly", "charpoly_reference", "cyclotomic", "euler_phi",
-    "two_cos_minimal_poly",
+    "charpoly", "cyclotomic", "euler_phi", "two_cos_minimal_poly",
     "ConnectionSet", "ProductRing", "RingElement", "enumerate_rings",
     "is_s_ring", "local_catalog", "make_ring", "quadratic_connection",
     "square_units", "units",
@@ -54,9 +49,7 @@ __all__ = [
     "predicted_periodic_unitary", "predicted_pst_quadratic",
     "predicted_pst_unitary", "predicted_quadratic_spectrum",
     "predicted_unitary_spectrum", "quadratic_regime", "sweep", "verify_ring",
-    "PSTPair", "PSTReport", "RationalMatrix", "SpectralLine", "SpectralReport",
-    "bruteforce_period", "chebyshev_apply", "chebyshev_matrix",
-    "classify_spectrum", "discriminant", "evolution_power", "find_pst",
-    "period", "time_evolution", "vertex_transfer_matrix",
+    "PSTPair", "PSTReport", "SpectralLine", "SpectralReport",
+    "bruteforce_period", "classify_spectrum", "find_pst", "period",
     "__version__",
 ]

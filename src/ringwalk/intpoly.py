@@ -467,26 +467,3 @@ def _root_of_unity(e: int, q: int) -> int:
         if all(pow(w, e // r, q) != 1 for r in prime_divisors):
             return w
         a += 1
-
-
-def charpoly_reference(mat) -> IntPoly:
-    """Faddeev-LeVerrier charpoly; slower, kept as an independent route."""
-    n = len(mat)
-    rows = [[int(x) for x in row] for row in mat]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    work = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        if k > 1:
-            # work = rows @ (work + c * I)
-            for i in range(n):
-                work[i][i] += c
-            work = [[sum(rows[i][t] * work[t][j] for t in range(n))
-                     for j in range(n)] for i in range(n)]
-        else:
-            work = [row[:] for row in rows]
-        c, rem = divmod(-sum(work[i][i] for i in range(n)), k)
-        if rem:
-            raise InconsistencyError(f"trace not divisible by {k}")
-        coeffs[n - k] = c
-    return tuple(coeffs)

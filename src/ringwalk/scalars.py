@@ -174,9 +174,8 @@ class Surd:
             den = den * v.denominator // gcd(den, v.denominator)
         parts = []
         for k in keys:
-            c = self._terms[k] * den
-            assert c.denominator == 1
-            c = c.numerator
+            v = self._terms[k]
+            c = v.numerator * (den // v.denominator)
             if k == _RAT:
                 parts.append((c, None))
             else:

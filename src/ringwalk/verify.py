@@ -338,13 +338,19 @@ class VerificationRecord:
     formula: str | None
     spectrum_verified: bool | None
     predicted_periodic: bool | None
-    classifier_periodic: bool
-    brute_periodic: bool
     period: int | None
     predicted_pst: bool | None
     pst_positive: bool
     pst_pairs: tuple
     failures: tuple
+
+    @property
+    def classifier_periodic(self) -> bool:
+        """Is the walk periodic?  `walks.period` returns only when the
+        classifier and brute force agree, so this is both verdicts."""
+        return self.period is not None
+
+    brute_periodic = classifier_periodic
 
     @property
     def ok(self) -> bool:
@@ -435,7 +441,6 @@ def verify_ring(ring: ProductRing, family: str = "unitary",
         connected=connected, sum_of_units_ring=s_ring, formula=formula,
         spectrum_verified=spectrum_verified,
         predicted_periodic=predicted_periodic,
-        classifier_periodic=periodic, brute_periodic=periodic,
         period=exact_period, predicted_pst=predicted_pst,
         pst_positive=pst_positive, pst_pairs=pst_report.pairs,
         failures=tuple(failures))

@@ -8,9 +8,10 @@ reverse, and the evolution U = S(2 N*N - I) has the rational entries
 
     U[a][b] = 2/deg(o(a)) * [t(b) = o(a)]  -  [b = a^(-1)].
 
-N itself is never materialised (its entries are irrational); everything
-that needs it analytically (N N* = I, the discriminant P = N S N*, the
-compressed powers N U^tau N*) is computed structurally in closed form.
+N itself is never materialised (its entries are irrational); the engine
+uses it only through N N* = I and N U^tau N* = T_tau(P) for the
+discriminant P = N S N* = D^-1/2 A D^-1/2; tests/oracle.py checks the
+second on regular graphs, with U built from its definition.
 
 Scaling U by D = lcm(degrees) makes the evolution integer-valued, so long
 products are exact integer arithmetic; periodicity certificates run on
@@ -60,41 +61,10 @@ from .scalars import Surd, exact_str, sort_key
 TAU_CAP = 100_000
 
 __all__ = [
-    "RationalMatrix", "SpectralLine", "SpectralReport", "PSTPair", "PSTReport",
-    "time_evolution", "discriminant", "chebyshev_apply", "chebyshev_matrix",
-    "vertex_transfer_matrix", "evolution_power", "classify_spectrum", "period",
-    "bruteforce_period", "find_pst", "two_cos_minimal_poly", "TAU_CAP",
+    "SpectralLine", "SpectralReport", "PSTPair", "PSTReport",
+    "classify_spectrum", "period", "bruteforce_period", "find_pst",
+    "two_cos_minimal_poly", "TAU_CAP",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class RationalMatrix:
-    """A dense matrix of Fractions with row/column labels."""
-
-    entries: tuple
-    index: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        bt = list(zip(*other.entries))
-        rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                     for row in self.entries)
-        return RationalMatrix(rows, self.index)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries)), self.index)
-
-    def apply(self, vec):
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(x == (1 if i == j else 0)
-                   for i, row in enumerate(self.entries)
-                   for j, x in enumerate(row))
 
 
 def _check_loopless(g: Graph) -> None:
@@ -150,21 +120,6 @@ class _ArcSpace:
             sums[v] = s
         return [self.coef[o] * sums[o] - self.scale * x[self.inv[i]]
                 for i, o in enumerate(self.origin)]
-
-
-def _power_columns(ar: _ArcSpace, columns, tau: int):
-    """Yield (scale * U)^tau x for each column, one at a time.
-
-    Each column is a collection of arc indices and stands for the sum of
-    their unit vectors.
-    """
-    for arcs in columns:
-        x = [0] * ar.size
-        for a in arcs:
-            x[a] = 1
-        for _ in range(tau):
-            x = ar.apply_scaled(x)
-        yield x
 
 
 @dataclasses.dataclass(frozen=True)
@@ -278,72 +233,6 @@ def _chebyshev_cells(q: _Quotient, x0, bound: int):
         yield cur
 
 
-def time_evolution(g: Graph) -> RationalMatrix:
-    """The Grover evolution U as an arc-indexed rational matrix."""
-    ar = _arcspace(g)
-    rows = []
-    for a, (o, _) in enumerate(ar.arcs):
-        two_over = Fraction(2, g.degrees[o])
-        row = []
-        for b, (_, tb) in enumerate(ar.arcs):
-            val = two_over if tb == o else Fraction(0)
-            if b == ar.inv[a]:
-                val -= 1
-            row.append(val)
-        rows.append(tuple(row))
-    return RationalMatrix(tuple(rows), ar.arcs)
-
-
-def evolution_power(g: Graph, tau: int) -> RationalMatrix:
-    """U^tau, exactly, via the integer-scaled column recurrence."""
-    _check_tau(tau)
-    ar = _arcspace(g)
-    denom = ar.scale ** tau
-    cols = [[Fraction(v, denom) for v in x]
-            for x in _power_columns(ar, ((j,) for j in range(ar.size)), tau)]
-    return RationalMatrix(tuple(zip(*cols)), ar.arcs)
-
-
-def discriminant(g: Graph) -> RationalMatrix:
-    """P = N S N* = A/k for a k-regular graph."""
-    k = _check_regular(g)
-    rows = tuple(tuple(Fraction(a, k) for a in row) for row in g.adjacency_matrix())
-    return RationalMatrix(rows, tuple(range(g.n)))
-
-
-def chebyshev_apply(p: RationalMatrix, u: int, tau: int):
-    """T_tau(P) e_u by the three-term recurrence, exact."""
-    _check_tau(tau)
-    prev = tuple(Fraction(int(i == u)) for i in range(p.n))
-    if tau == 0:
-        return prev
-    cur = p.apply(prev)
-    for _ in range(tau - 1):
-        nxt = tuple(2 * a - b for a, b in zip(p.apply(cur), prev))
-        prev, cur = cur, nxt
-    return tuple(cur)
-
-
-def chebyshev_matrix(p: RationalMatrix, tau: int) -> RationalMatrix:
-    """T_tau(P) as a matrix."""
-    _check_tau(tau)
-    cols = [chebyshev_apply(p, u, tau) for u in range(p.n)]
-    return RationalMatrix(tuple(zip(*cols)), p.index)
-
-
-def vertex_transfer_matrix(g: Graph, tau: int) -> RationalMatrix:
-    """N U^tau N* for a regular graph (equals T_tau(P), checked in tests)."""
-    _check_tau(tau)
-    k = _check_regular(g)
-    ar = _arcspace(g)
-    denom = k * ar.scale ** tau
-    # column v: the scaled U^tau columns summed over the arcs with head v
-    cols = [[Fraction(sum(x[a] for a in ar.heads_at[u]), denom)
-             for u in range(g.n)]
-            for x in _power_columns(ar, ar.heads_at, tau)]
-    return RationalMatrix(tuple(zip(*cols)), tuple(range(g.n)))
-
-
 # -- periodicity by brute force -------------------------------------------
 
 def bruteforce_period(g: Graph, tau_max: int):
@@ -418,7 +307,11 @@ def _confirmation_arcs(g: Graph) -> range:
 def _power_is_identity(ar: _ArcSpace, tau: int, arcs) -> bool:
     """Does U^tau fix the unit column of every arc in `arcs`?"""
     target = ar.scale ** tau
-    for j, x in zip(arcs, _power_columns(ar, ((j,) for j in arcs), tau)):
+    for j in arcs:
+        x = [0] * ar.size
+        x[j] = 1
+        for _ in range(tau):
+            x = ar.apply_scaled(x)
         for i, v in enumerate(x):
             if v != (target if i == j else 0):
                 return False

@@ -1,6 +1,8 @@
+import networkx as nx
 import pytest
 
 from ringwalk import intpoly, verify, walks
+from ringwalk.graphs import Graph
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +15,23 @@ def unitary_sweep_16():
 def quadratic_sweep_16():
     """Every catalog ring of order <= 16 against the quadratic-family checks."""
     return verify.sweep(16, "quadratic")
+
+
+@pytest.fixture
+def random_regular_graphs():
+    """50 connected random regular graphs on 4..12 vertices of degree 2..5,
+    the same ones on every call, built afresh so no walk state is shared."""
+    shapes = [(n, d) for n in range(4, 13) for d in range(2, 6)
+              if d < n and n * d % 2 == 0]
+    out = []
+    seed = 0
+    while len(out) < 50:
+        n, d = shapes[len(out) % len(shapes)]
+        seed += 1
+        base = nx.random_regular_graph(d, n, seed=seed)
+        if nx.is_connected(base):
+            out.append(Graph(n, list(base.edges())))
+    return out
 
 
 @pytest.fixture

