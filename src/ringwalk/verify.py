@@ -37,10 +37,10 @@ with that residue, and each map is checked edge by edge.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intpoly, walks
 from .errors import FormulaNotApplicable, InconsistencyError
@@ -61,8 +61,7 @@ __all__ = [
 ORACLE_HORIZON = 120  # brute force's horizon on an aperiodic verdict
 
 
-@dataclasses.dataclass(frozen=True)
-class PredictedSpectrum:
+class PredictedSpectrum(NamedTuple):
     """Eigenvalues of an adjacency matrix as (value, multiplicity) pairs."""
 
     pairs: tuple
@@ -325,8 +324,7 @@ def unitary_isomorphism(a: ProductRing, b: ProductRing) -> Permutation:
     return perm
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Everything checked for one ring and family, mismatches included."""
 
     token: str

@@ -47,10 +47,10 @@ as recomputing would; `period()` alone compares them, on every call.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intpoly
 from .errors import InconsistencyError, SizeCapExceeded
@@ -122,8 +122,7 @@ class _ArcSpace:
                 for i, o in enumerate(self.origin)]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Quotient:
+class _Quotient(NamedTuple):
     """An equitable partition of the vertices and its quotient matrix B.
 
     `cells` are tuples of vertices ordered by their least vertex; rows[i]
@@ -140,7 +139,6 @@ class _Quotient:
     scale: int
 
 
-@dataclasses.dataclass
 class WalkAnalysis:
     """What the walk routes have computed for one graph, filled lazily.
 
@@ -151,10 +149,14 @@ class WalkAnalysis:
     transfer search read it, the classifier never does.
     """
 
-    arcspace: _ArcSpace | None = None
-    quotient: _Quotient | None = None
-    spectrum: SpectralReport | None = None
-    searched: tuple | None = None  # (horizon T, least tau <= T or None)
+    __slots__ = ("arcspace", "quotient", "spectrum", "searched")
+
+    def __init__(self):
+        self.arcspace: _ArcSpace | None = None
+        self.quotient: _Quotient | None = None
+        self.spectrum: SpectralReport | None = None
+        # (horizon T, least tau <= T or None)
+        self.searched: tuple | None = None
 
 
 def _analysis(g: Graph) -> WalkAnalysis:
@@ -320,8 +322,7 @@ def _power_is_identity(ar: _ArcSpace, tau: int, arcs) -> bool:
 
 # -- spectral classification ----------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(NamedTuple):
     """One chunk of the discriminant spectrum.
 
     Degree 1 and 2 lines carry the eigenvalue mu itself (Fraction or Surd)
@@ -347,8 +348,7 @@ class SpectralLine:
         return f"roots of {intpoly.poly_str(self.lam_poly)} (in lambda)"
 
 
-@dataclasses.dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     """Exact eigenvalue classification of P = A/k.
 
     `factors` are the (P, multiplicity) pairs whose product is char(A).
@@ -451,7 +451,7 @@ def _classify_spectrum(g: Graph) -> SpectralReport:
             key = line.mu if line.mu is not None else line.lam_poly
             total = line.multiplicity * m + (
                 merged[key].multiplicity if key in merged else 0)
-            merged[key] = dataclasses.replace(line, multiplicity=total)
+            merged[key] = line._replace(multiplicity=total)
         if len(residual) > 1:
             leftover.append((residual, m))
     lines = sorted(merged.values(), key=lambda l: sort_key(l.mu)
@@ -594,8 +594,7 @@ def period(g: Graph, tau_max: int = 0):
 
 # -- perfect state transfer ------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class PSTPair:
+class PSTPair(NamedTuple):
     """T_tau(P) e_u = phase * e_v with phase in {+1, -1} and v != u."""
 
     source: int
@@ -604,8 +603,7 @@ class PSTPair:
     phase: int
 
 
-@dataclasses.dataclass(frozen=True)
-class PSTReport:
+class PSTReport(NamedTuple):
     """Outcome of a perfect state transfer search."""
 
     pairs: tuple

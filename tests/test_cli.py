@@ -258,7 +258,7 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     def sabotage(ring, family="unitary", tau_max=120):
         rec = real(ring, family=family, tau_max=tau_max)
         if ring.token == "Z4":
-            rec = rec.__class__(**{**rec.__dict__, "failures": ("synthetic",)})
+            rec = rec._replace(failures=("synthetic",))
         return rec
 
     monkeypatch.setattr(cli.verify_mod, "verify_ring", sabotage)

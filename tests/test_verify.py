@@ -1,6 +1,5 @@
 """Closed-form spectrum predictions and the ring verification harness."""
 
-import dataclasses
 import json
 from collections import Counter
 
@@ -288,6 +287,15 @@ def test_verify_ring_unitary_z12():
     assert rec.predicted_pst and rec.pst_positive
     assert [(p.source, p.target, p.time) for p in rec.pst_pairs] == [
         (0, 6, 6), (6, 0, 6)]
+    # the records of a second run are equal, hash equal and refuse
+    # assignment to each of their fields
+    spec = verify.predicted_unitary_spectrum(make_ring("Z12"))
+    for a, b in ((rec, verify.verify_ring(make_ring("Z12"), family="unitary")),
+                 (spec, verify.predicted_unitary_spectrum(make_ring("Z12")))):
+        assert a == b and hash(a) == hash(b) and a is not b, type(a)
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
 
 
 def test_verify_ring_unitary_disconnected():
@@ -353,7 +361,7 @@ def test_verify_ring_compares_factor_multiplicities(spec, monkeypatch):
     assert verify.verify_ring(make_ring(spec), family).spectrum_verified
     for forge in forgeries:
         monkeypatch.setattr(walks, "classify_spectrum", lambda g: (
-            dataclasses.replace(real(g), factors=forge(real(g).factors))))
+            real(g)._replace(factors=forge(real(g).factors))))
         rec = verify.verify_ring(make_ring(spec), family)
         assert rec.spectrum_verified is False
         assert rec.failures == ("predicted spectrum != computed spectrum",)

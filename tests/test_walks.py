@@ -258,7 +258,6 @@ def test_route_disagreement_survives_optimize_flag():
     the library, `walk` and `verify`, -O or not, and the CLI prints nothing
     on stdout."""
     code = (
-        "import dataclasses\n"
         "from ringwalk import cli, errors, verify, walks\n"
         "from ringwalk.graphs import Graph, quadratic_unitary_cayley_graph\n"
         "from ringwalk.rings import make_ring\n"
@@ -281,8 +280,8 @@ def test_route_disagreement_survives_optimize_flag():
         "         cli.main(['walk', 'Z4']),\n"
         "         cli.main(['walk', 'Z12', '--format', 'text'])]  # 3 divides 12\n"
         "walks.bruteforce_period = real_brute\n"
-        "walks.classify_spectrum = lambda g: dataclasses.replace(\n"
-        "    real_classify(g), unfactored=(1, 1))  # says aperiodic\n"
+        "walks.classify_spectrum = lambda g: real_classify(g)._replace(\n"
+        "    unfactored=(1, 1))  # says aperiodic\n"
         "library.append(raises(lambda: verify.verify_ring(make_ring('Z12'))))\n"
         "codes.append(cli.main(['verify', '--max-order', '4']))\n"
         "raise SystemExit(0 if all(library) and codes == [2, 2, 2, 2] else 1)\n")
@@ -308,6 +307,8 @@ def test_bruteforce_memo_answers_by_horizon(search_horizons):
     assert walks.bruteforce_period(g, 100) == 4
     assert searches == [3, 10]
     assert g.walk_analysis.searched == (10, 4)
+    with pytest.raises(AttributeError):
+        g.walk_analysis.period = 4  # not one of the four cached fields
 
 
 def test_analysed_graph_is_freed_without_the_cyclic_collector():
@@ -757,6 +758,21 @@ def test_pst_on_unitary_graph_z12():
     assert walks.period(g) == 12
     assert [(p.source, p.target, p.time, p.phase) for p in rep.pairs] == [
         (0, 6, 6, 1), (6, 0, 6, 1)]
+    assert repr(walks.PSTPair(0, 6, 6, 1)) == \
+        "PSTPair(source=0, target=6, time=6, phase=1)"
+    # every record of a second, separately built graph is equal, hashes
+    # equal and refuses assignment to each of its fields
+    h = unitary_cayley_graph(make_ring("Z12"))
+    report = walks.classify_spectrum(g)
+    for a, b in ((rep, walks.find_pst(h)),
+                 (rep.pairs[0], walks.find_pst(h).pairs[0]),
+                 (report, walks.classify_spectrum(h)),
+                 (report.lines[0], walks.classify_spectrum(h).lines[0]),
+                 (walks._quotient(g), walks._quotient(h))):
+        assert a == b and hash(a) == hash(b) and a is not b, type(a)
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
 
 
 def test_no_pst_on_odd_cycles():
