@@ -54,6 +54,12 @@ def _cases():
                     ["ring", spec, "--format", "text"]))
     out.append(("graph/Zp23-unitary.dot",
                 ["graph", "Zp[2,3]", "--format", "dot"]))
+    for spec in ("Z12", "GF(4) x Z3"):
+        for family in FAMILIES:
+            out.append((f"graph/{_slug(spec)}-{family}.json",
+                        ["graph", spec, "--family", family, "--format", "json"]))
+    out.append(("graph/Z2xZ2-unitary.json",
+                ["graph", "Z2 x Z2", "--format", "json"]))
     for family in FAMILIES:
         out.append((f"verify-{family}-16.json",
                     ["verify", "--family", family, "--max-order", "16",
