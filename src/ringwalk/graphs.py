@@ -7,14 +7,15 @@ optional hashable labels (ring elements, pairs, ...).  `Graph.neighbors`,
 one sorted tuple per vertex, is the only adjacency index: `adjacent` and
 `has_loop` bisect it, and ringwalk.walks numbers the arcs in its order.
 
-A graph may carry a Cayley structure `(moduli, coords)`: each vertex's
-coordinates in the abelian group Z_(m_1) x ... x Z_(m_r), recorded by the
-builders that know them (Cayley graphs, cycles, complete graphs, tensor
-products, induced subgraphs that are unions of components).  The
-structure is verified once, on first use of `Graph.connection`, and both
-`vertex_transitive` and the character-sum charpoly are derived from that
-one check, never claimed by a caller.  The connected components are
-likewise computed once, on first use, and every caller reads that value.
+A graph may carry a Cayley structure `(moduli, codes)`: each vertex's
+mixed-radix code in the abelian group Z_(m_1) x ... x Z_(m_r), recorded
+by the builders that know it (ring graphs, cycles and complete graphs
+carry range(n); tensor products and induced subgraphs on unions of
+components derive theirs).  The structure is verified once, on first use
+of `Graph.connection`, and both `vertex_transitive` and the character-sum
+charpoly are derived from that one check, never claimed by a caller.  The
+connected components are likewise computed once, on first use, and every
+caller reads that value.
 
 An isomorphism is a `Permutation` that its caller constructs
 (ringwalk.verify builds its witnesses from ring residues), and
@@ -41,11 +42,10 @@ __all__ = [
 class Graph:
     """An undirected graph on 0..n-1, loops allowed when stated.
 
-    `cayley` is an optional `(moduli, coords)` pair of a tuple of moduli
-    and, for each vertex v, its coordinate tuple coords[v]; `connection`
-    checks it lazily.  `walk_analysis` belongs to ringwalk.walks, which
-    fills it on first use with what its routes have computed for this
-    graph.
+    `cayley` is an optional `(moduli, codes)` pair: codes[v] is vertex v's
+    mixed-radix code in the moduli, checked lazily by `connection`.
+    `walk_analysis` belongs to ringwalk.walks, which fills it on first use
+    with what its routes have computed for this graph.
     """
 
     def __init__(self, n: int, edges, labels=None, allow_loops: bool = False,
@@ -83,21 +83,21 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)],
-                   name=f"K{n}", cayley=_cyclic(n))
+                   name=f"K{n}", cayley=((n,), range(n)))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
         return cls(n, [(i, (i + 1) % n) for i in range(n)],
-                   name=f"C{n}", cayley=_cyclic(n))
+                   name=f"C{n}", cayley=((n,), range(n)))
 
     @classmethod
     def complete_pseudograph(cls, n: int) -> "Graph":
         """K_n plus a loop at every vertex (n-regular, all-ones adjacency)."""
         edges = [(u, v) for u in range(n) for v in range(u, n)]
         return cls(n, edges, allow_loops=True, name=f"K°{n}",
-                   cayley=_cyclic(n))
+                   cayley=((n,), range(n)))
 
     # -- structure ---------------------------------------------------------
 
@@ -128,34 +128,29 @@ class Graph:
     def connection(self):
         """The connection set S of the carried Cayley structure, or None.
 
-        Checked once, on first use, in O(|E|) time and O(n + |E|) memory on
-        integer codes: vertex v gets the mixed-radix code sum a_i w_i of its
-        coordinates a_i, with w_i the product of the moduli after m_i, and
-        edge (u, v) the code of the digitwise difference (a_i(v) - a_i(u))
-        mod m_i.  The coordinates must be in range and their codes distinct;
-        S is the set of difference codes at vertex 0, every degree must be
-        |S|, S closed under digitwise negation and every edge's code in S.
-        Then each vertex a is adjacent exactly to a + S, so the graph is
-        Cay(<S>, S) on a union of cosets of <S>.  A failed check raises
-        InconsistencyError.  S comes back as a sorted tuple of coordinate
-        tuples; a graph without a structure gives None.
+        Checked once, on first use, in O(|E|) time and O(n + |E|) memory:
+        code c has digits c // w_i % m_i, with w_i the product of the moduli
+        after m_i, and edge (u, v) the code of the digitwise difference.
+        The codes must be distinct and in range; S is the set of difference
+        codes at vertex 0, every degree must be |S|, S closed under
+        digitwise negation and every edge's code in S.  Then each vertex a
+        is adjacent exactly to a + S, so the graph is Cay(<S>, S) on a union
+        of cosets of <S>.  A failed check raises InconsistencyError.  S
+        comes back as a sorted tuple of digit tuples; a graph without a
+        structure gives None.
         """
         if self.cayley is None or not self.n:
             return None
-        moduli, coords = self.cayley
+        moduli, codes = self.cayley
         weights = [math.prod(moduli[i + 1:]) for i in range(len(moduli))]
-        ok = len(coords) == self.n and all(len(c) == len(moduli) for c in coords)
+        ok = (len(codes) == self.n and len(set(codes)) == self.n
+              and 0 <= min(codes) and max(codes) < math.prod(moduli))
         if ok:
-            codes = [0] * self.n
             diffs = [0] * len(self.edges)
-            for i, (m, w) in enumerate(zip(moduli, weights)):
-                col = [c[i] for c in coords]
-                ok = ok and 0 <= min(col) and max(col) < m
-                codes = [x + a * w for x, a in zip(codes, col)]
+            for m, w in zip(moduli, weights):
+                col = [c // w % m for c in codes]
                 diffs = [d + (col[v] - col[u]) % m * w
                          for d, (u, v) in zip(diffs, self.edges)]
-            ok = ok and len(set(codes)) == self.n
-        if ok:
             # edges are sorted, so the (0, w) edges come first
             conn = set(diffs[:self.degrees[0]])
             ok = (all(d == len(conn) for d in self.degrees)
@@ -165,7 +160,7 @@ class Graph:
                   and conn.issuperset(diffs))
         if not ok:
             raise InconsistencyError(
-                f"{self!r} is not the Cayley graph its coordinates describe")
+                f"{self!r} is not the Cayley graph its codes describe")
         return tuple(tuple([s // w % m for w, m in zip(weights, moduli)])
                      for s in sorted(conn))
 
@@ -217,8 +212,8 @@ class Graph:
         cayley = None
         if self.cayley is not None and all(
                 w in pos for v in vs for w in self.neighbors[v]):
-            moduli, coords = self.cayley
-            cayley = (moduli, [coords[v] for v in vs])
+            moduli, codes = self.cayley
+            cayley = (moduli, [codes[v] for v in vs])
         return Graph(len(vs), edges, labels=[self.labels[v] for v in vs],
                      allow_loops=self.allow_loops, cayley=cayley)
 
@@ -227,39 +222,34 @@ class Graph:
         return f"Graph({tag}, {len(self.edges)} edges)"
 
 
-def _cyclic(n: int) -> tuple:
-    """Z_n coordinates for vertices 0..n-1."""
-    return (n,), [(v,) for v in range(n)]
-
-
 # -- ring graphs -----------------------------------------------------------
 
 def cayley_graph(ring: ProductRing, connection: ConnectionSet) -> Graph:
     """The Cayley graph of (R, +) with respect to a connection set.
 
-    Edges are built by adding coordinates in `ring.additive_moduli`, one
-    of s and -s at a time since both give the same edges (an s equal to -s
-    reaches each edge from both ends, so only i < j is kept), and the
-    graph carries those coordinates as its Cayley structure.
+    Vertex v is the element with sort key v, and v + s is added digit by
+    digit in `ring.additive_moduli`, for one of s and -s since both give
+    the same edges (an s equal to -s reaches each edge from both ends, so
+    only v < v + s is kept).  The graph carries range(n) as its codes.
     """
     if connection.ring != ring:
         raise ValueError("connection set belongs to a different ring")
-    elts = ring.elements()
-    moduli = ring.additive_moduli
-    coords = [ring.additive_coordinates(e) for e in elts]
-    index = {c: i for i, c in enumerate(coords)}
+    n, moduli = ring.order, ring.additive_moduli
+    weights = [math.prod(moduli[i + 1:]) for i in range(len(moduli))]
+    digits = [(m, w, [v // w % m for v in range(n)])
+              for m, w in zip(moduli, weights)]
     edges = []
-    done = set()
     for c in connection:
-        s = ring.additive_coordinates(c)
-        neg = tuple([-x % m for x, m in zip(s, moduli)])
-        if neg in done:
+        s, neg = c.sort_key(), (-c).sort_key()
+        if neg < s:
             continue
-        done.add(s)
-        pairs = ((i, index[tuple([(x + y) % m for x, y, m in zip(a, s, moduli)])])
-                 for i, a in enumerate(coords))
-        edges.extend([(i, j) for i, j in pairs if i < j] if neg == s else pairs)
-    return Graph(ring.order, edges, labels=elts, cayley=(moduli, coords),
+        ends = [0] * n
+        for m, w, col in digits:
+            d = s // w % m
+            ends = [e + (a + d) % m * w for e, a in zip(ends, col)]
+        pairs = zip(range(n), ends)
+        edges.extend([(u, v) for u, v in pairs if u < v] if neg == s else pairs)
+    return Graph(n, edges, labels=ring.elements(), cayley=(moduli, range(n)),
                  name=f"Cay({ring.token}; {connection.label})")
 
 
@@ -277,7 +267,7 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     """Tensor (categorical) product; vertex (u, v) at index u*h.n + v.
 
     Cay(G, S) x Cay(H, T) is Cay(G x H, S x T), so the product carries the
-    concatenated coordinates when both factors carry a Cayley structure.
+    concatenated codes when both factors carry a Cayley structure.
     """
     m = h.n
     edges = [(u * m + v, x * m + y) for u in range(g.n) for x in g.neighbors[u]
@@ -285,8 +275,9 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     labels = [(gu, hv) for gu in g.labels for hv in h.labels]
     cayley = None
     if g.cayley is not None and h.cayley is not None:
+        size = math.prod(h.cayley[0])
         cayley = (g.cayley[0] + h.cayley[0],
-                  [a + b for a in g.cayley[1] for b in h.cayley[1]])
+                  [a * size + b for a in g.cayley[1] for b in h.cayley[1]])
     return Graph(g.n * m, edges, labels=labels,
                  allow_loops=any(u == w for u, w in edges), cayley=cayley,
                  name=f"{g.name or 'G'} (x) {h.name or 'H'}")

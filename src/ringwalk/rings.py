@@ -13,8 +13,8 @@ from three families, each a quotient (Z/b)[x]/(f) with f monic of degree d:
 
 All three share one implementation and one element format: a tuple of the
 d coefficients mod b, low degree first, so an element of Z_{p^k} is a
-1-tuple.  These coefficients are also the additive coordinates that Cayley
-graphs are built on.
+1-tuple.  An element's integer sort key is its index in `elements()`, and
+its digits are the additive coordinates that Cayley graphs are built on.
 
 Products are kept in a canonical order (residue field size descending, then
 factor order descending, then token), and a ring spelled ``Z12`` is
@@ -276,10 +276,13 @@ class RingElement:
     def is_unit(self) -> bool:
         return all(f.is_unit(a) for f, a in zip(self.ring.factors, self.comps))
 
-    def sort_key(self):
+    def sort_key(self) -> int:
         if self.ring.crt_display:
             return self.ring.to_integer(self)
-        return tuple(f.sort_key(a) for f, a in zip(self.ring.factors, self.comps))
+        key = 0
+        for f, a in zip(self.ring.factors, self.comps):
+            key = key * f.order + f.sort_key(a)
+        return key
 
     def __eq__(self, other):
         return (isinstance(other, RingElement)
@@ -320,12 +323,14 @@ class ProductRing:
             self.order *= f.order
         self.residues = tuple(f.residue_size for f in self.factors)
         self.ideal_sizes = tuple(f.ideal_size for f in self.factors)
-        # (R, +) is the product of the Z_m over these, one per coefficient
-        self.additive_moduli = tuple(m for f in self.factors for m in f.moduli)
         # CRT integer labels need pairwise coprime Z_{p^k} factors
         primes = [f.p for f in self.factors]
         self.crt_display = (all(f.kind == "Z" for f in self.factors)
                             and len(set(primes)) == len(primes))
+        # (R, +) is the product of the Z_m over these, one per digit of
+        # the sort key (Z_n itself under CRT labels)
+        self.additive_moduli = ((self.order,) if self.crt_display else
+                                tuple(m for f in self.factors for m in f.moduli))
         self._elements = None
         self._units = None
 
@@ -367,10 +372,6 @@ class ProductRing:
         if self._units is None:
             self._units = tuple(e for e in self.elements() if e.is_unit())
         return self._units
-
-    def additive_coordinates(self, elt: RingElement) -> tuple:
-        """elt as a tuple in the coordinates of `additive_moduli`."""
-        return tuple([c for comp in elt.comps for c in comp])
 
     def to_integer(self, elt: RingElement) -> int:
         """CRT integer label; defined when factors are coprime Z_{p^k}."""

@@ -16,7 +16,7 @@ second on regular graphs, with U built from its definition.
 Scaling U by D = lcm(degrees) makes the evolution integer-valued, so long
 products are exact integer arithmetic; periodicity certificates run on
 that scaled form.  Since N U^tau N* = T_tau(P), the vertex-level questions
-(is T_tau(P) e_0 = e_0, is it +-e_v) need only k^tau T_tau(P) e_0, an
+(is T_tau(P) e_0 = e_0, is it e_v) need only k^tau T_tau(P) e_0, an
 integer Chebyshev recurrence in A.  On a vertex-transitive graph it runs
 on the quotient of the coarsest equitable partition with {0} as a cell,
 a handful of cells instead of n vertices or 2|E| arcs; other graphs run
@@ -595,7 +595,8 @@ def period(g: Graph, tau_max: int = 0):
 # -- perfect state transfer ------------------------------------------------
 
 class PSTPair(NamedTuple):
-    """T_tau(P) e_u = phase * e_v with phase in {+1, -1} and v != u."""
+    """T_tau(P) e_u = phase * e_v with v != u; phase is +1, since the
+    regular graphs searched have T_tau(P) 1 = 1."""
 
     source: int
     target: int
@@ -616,7 +617,8 @@ class PSTReport(NamedTuple):
 
 
 def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
-    """Every exact transfer T_tau(P) e_u = +-e_v within the search bound.
+    """Every exact transfer T_tau(P) e_u = e_v within the search bound; a
+    -e_v raises InconsistencyError, as T_tau(P) fixes the all-ones vector.
 
     Periodic walks are searched completely (tau < period(g), which checks
     that g is connected and regular).  A connected vertex-transitive
@@ -667,8 +669,11 @@ def find_pst(g: Graph, tau_max: int | None = None, sources=None) -> PSTReport:
                 cell = q.cells[nz[0]]
                 if len(cell) == 1 and cell[0] != u:
                     v = cell[0]
-                    phase = 1 if x[nz[0]] > 0 else -1
-                    hits.add(PSTPair(u, v, tau, phase))
-                    hits.add(PSTPair(v, u, tau, phase))  # T_tau(P) is symmetric
+                    if x[nz[0]] < 0:
+                        raise InconsistencyError(
+                            f"T_{tau}(P) sends vertex {u} of {g!r} to -e_{v}, "
+                            f"but it fixes the all-ones vector")
+                    hits.add(PSTPair(u, v, tau, 1))
+                    hits.add(PSTPair(v, u, tau, 1))  # T_tau(P) is symmetric
     pairs = tuple(sorted(hits, key=lambda h: (h.time, h.source, h.target)))
     return PSTReport(pairs, bound)

@@ -1,5 +1,6 @@
 """Graph construction, Cayley structure, refinement and export."""
 
+import math
 import random
 import tracemalloc
 import weakref
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_intpoly import _cayley_graphs
+from test_rings import _digits
 
 from ringwalk import errors, verify
 from ringwalk.graphs import (
@@ -102,6 +104,20 @@ def test_cayley_graph_respects_connection_set():
     assert g.edges == h.edges
 
 
+def test_cayley_graph_edges_are_the_differences_in_s():
+    """Vertex v is elements()[v], and i < j are adjacent iff
+    elts[j] - elts[i] is in S, in RingElement arithmetic: every catalog
+    ring to order 36, both families."""
+    for ring in enumerate_rings(36):
+        elts = ring.elements()
+        for conn in (units(ring), quadratic_connection(ring)):
+            g = cayley_graph(ring, conn)
+            assert g.labels == elts
+            assert g.edges == tuple(
+                (i, j) for i in range(ring.order)
+                for j in range(i + 1, ring.order) if elts[j] - elts[i] in conn)
+
+
 def test_disconnected_unitary_graph():
     g = unitary_cayley_graph(make_ring("Z2 x Z2"))
     assert not g.is_connected()
@@ -118,9 +134,10 @@ def test_cayley_graphs_are_transitive_iff_connected():
         ring = make_ring(spec)
         for conn in (units(ring), quadratic_connection(ring)):
             g = cayley_graph(ring, conn)
-            assert g.cayley[0] == ring.additive_moduli
+            moduli = ring.additive_moduli
+            assert g.cayley == (moduli, range(ring.order))
             assert g.connection == tuple(sorted(
-                ring.additive_coordinates(c) for c in conn))
+                _digits(c.sort_key(), moduli) for c in conn))
             assert g.vertex_transitive == g.is_connected()
 
 
@@ -142,7 +159,7 @@ def test_cayley_graph_passes_each_edge_once_in_characteristic_two(monkeypatch):
 
 def test_induced_subgraph_keeps_structure_on_components():
     c6 = Graph.cycle(6)
-    assert c6.induced_subgraph(range(6)).cayley == c6.cayley
+    assert c6.induced_subgraph(range(6)).cayley == ((6,), list(range(6)))
     path = c6.induced_subgraph(range(3))
     assert path.cayley is None and path.connection is None
     assert not path.vertex_transitive
@@ -215,31 +232,33 @@ def test_refinement_is_stable_and_equitable():
 def test_carried_structure_must_match_the_edges():
     c4 = Graph.cycle(4)
     moduli = c4.cayley[0]
-    # Z4 coordinates on a path: S = {1} is not symmetric
+    # Z4 codes on a path: S = {1} is not symmetric
     path = Graph(4, [(0, 1), (1, 2), (2, 3)], cayley=c4.cayley)
     with pytest.raises(errors.InconsistencyError):
         path.vertex_transitive
-    repeated = [(0,), (1,), (1,), (3,)]
-    out_of_range = [(0,), (1,), (2,), (7,)]
-    permuted = [(0,), (2,), (1,), (3,)]
-    for bad in (repeated, out_of_range, permuted):
+    repeated = [0, 1, 1, 3]
+    out_of_range = [0, 1, 2, 7]
+    negative = [-1, 0, 1, 2]
+    permuted = [0, 2, 1, 3]
+    for bad in (repeated, out_of_range, negative, permuted):
         g = Graph(4, c4.edges, cayley=(moduli, bad))
         with pytest.raises(errors.InconsistencyError):
             g.connection
 
 
 def _reference_connection(g: Graph):
-    """The structure check on coordinate tuples: S or InconsistencyError."""
+    """The structure check on coordinate tuples, decoded from the codes:
+    S or InconsistencyError."""
     if g.cayley is None or not g.n:
         return None
-    moduli, coords = g.cayley
+    moduli, codes = g.cayley
+    coords = [_digits(c, moduli) for c in codes]
 
     def diff(u, v):
         return tuple((b - a) % m for a, b, m in zip(coords[u], coords[v], moduli))
 
-    ok = len(coords) == g.n and len(set(map(tuple, coords))) == g.n and all(
-        len(c) == len(moduli) and all(0 <= a < m for a, m in zip(c, moduli))
-        for c in coords)
+    ok = (len(codes) == g.n and len(set(coords)) == g.n
+          and all(0 <= c < math.prod(moduli) for c in codes))
     if ok:
         conn = {diff(0, w) for w in g.neighbors[0]}
         ok = (all(d == len(conn) for d in g.degrees)
@@ -266,17 +285,18 @@ def _same_connection(g: Graph) -> bool:
 @given(_cayley_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_connection_matches_tuple_reference_on_random_structures(case, rng):
-    """Random Cayley graphs, as built and with two vertices' coordinates
-    swapped (which the checks may or may not catch, alike)."""
+    """Random Cayley graphs, as built and with two vertices' codes swapped
+    (which the checks may or may not catch, alike).  `group` lists the
+    coordinate tuples in code order."""
     moduli, group, conn = case
     members = set(conn)
     edges = [(u, v) for u in range(len(group)) for v in range(u, len(group))
              if tuple((b - a) % m for a, b, m in zip(group[u], group[v], moduli))
              in members]
-    g = Graph(len(group), edges, cayley=(moduli, group))
+    g = Graph(len(group), edges, cayley=(moduli, range(len(group))))
     assert _same_connection(g) and g.connection == tuple(conn)
     i, j = rng.randrange(len(group)), rng.randrange(len(group))
-    swapped = list(group)
+    swapped = list(range(len(group)))
     swapped[i], swapped[j] = swapped[j], swapped[i]
     _same_connection(Graph(len(group), edges, cayley=(moduli, swapped)))
 
@@ -302,11 +322,11 @@ def test_connection_matches_tuple_reference_on_catalog_and_products():
 
 
 def test_connection_memory_does_not_grow_with_the_moduli():
-    """Z_(10^18) coordinates on 3 vertices, a valid structure and a
-    failing one: no table indexed by group element is built."""
+    """Z_(10^18) codes on 3 vertices, a valid structure and a failing one:
+    no table indexed by group element is built."""
     moduli = (10 ** 18,)
-    edgeless = Graph(3, [], cayley=(moduli, [(0,), (5,), (10 ** 17,)]))
-    path = Graph(3, [(0, 1), (0, 2)], cayley=(moduli, [(0,), (1,), (10 ** 18 - 1,)]))
+    edgeless = Graph(3, [], cayley=(moduli, [0, 5, 10 ** 17]))
+    path = Graph(3, [(0, 1), (0, 2)], cayley=(moduli, [0, 1, 10 ** 18 - 1]))
     tracemalloc.start()
     try:
         assert edgeless.connection == ()

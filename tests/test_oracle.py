@@ -27,7 +27,7 @@ def _abelian_cayley_graphs(draw):
     index = {a: i for i, a in enumerate(group)}
     edges = [(index[a], index[tuple((x + y) % m for x, y, m in zip(a, s, moduli))])
              for a in group for s in conn]
-    g = Graph(len(group), edges, cayley=(moduli, group))
+    g = Graph(len(group), edges, cayley=(moduli, range(len(group))))
     return g.induced_subgraph(g.connected_components()[0])
 
 

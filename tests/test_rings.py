@@ -1,5 +1,7 @@
 """Finite commutative ring catalog and connection sets."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -220,20 +222,37 @@ def test_make_ring_outcome_at_each_cap(spec, cap, expected):
         assert (ring.token, ring.order) == expected
 
 
+def _digits(code: int, moduli) -> tuple:
+    """The mixed-radix digits of code, most significant first."""
+    out = []
+    for m in reversed(moduli):
+        code, d = divmod(code, m)
+        out.append(d)
+    return tuple(out[::-1])
+
+
 @pytest.mark.parametrize("spec, moduli", [
-    ("Z12", (3, 4)), ("GF(8) x Z5", (2, 2, 2, 5)),
+    ("Z12", (12,)), ("GF(8) x Z5", (2, 2, 2, 5)),
     ("Zp[2,3] x G(3)", (3, 3, 2, 2, 2)), ("Z2 x Z2", (2, 2)), ("Z27", (27,)),
     ("GF(9) x Zp[2,3]", (3, 3, 2, 2, 2))])
 def test_additive_coordinates_are_a_group_isomorphism(spec, moduli):
+    """The digits of the sort key, in `additive_moduli`, add digitwise."""
     ring = make_ring(spec)
     assert ring.additive_moduli == moduli
-    coords = {x: ring.additive_coordinates(x) for x in ring.elements()}
+    assert all(0 <= x.sort_key() < math.prod(moduli) for x in ring.elements())
+    coords = {x: _digits(x.sort_key(), moduli) for x in ring.elements()}
     assert len(set(coords.values())) == ring.order
-    assert all(0 <= c < m for v in coords.values() for c, m in zip(v, moduli))
     for x in ring.elements()[::3]:
         for y in ring.elements()[::2]:
             assert coords[x + y] == tuple(
                 (a + b) % m for a, b, m in zip(coords[x], coords[y], moduli))
+
+
+def test_sort_key_is_the_index_in_elements():
+    rings_to_128 = enumerate_rings(128, cap=128)
+    assert len(rings_to_128) == 630
+    for ring in rings_to_128:
+        assert [x.sort_key() for x in ring.elements()] == list(range(ring.order))
 
 
 def test_galois_field_is_a_field():

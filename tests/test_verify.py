@@ -141,6 +141,41 @@ def test_forged_table_fails_verification(family, cli_family, monkeypatch,
     assert z9["details"] == ["predicted spectrum != computed spectrum"]
 
 
+def _negated(real):
+    return lambda ring: not real(ring)
+
+
+@pytest.mark.parametrize("name, forge, failure", [
+    ("is_s_ring", _negated,
+     "connectivity does not match the sum-of-units test"),
+    ("predicted_unitary_spectrum",
+     lambda real: lambda ring: real(ring)._replace(regularity=5),
+     "predicted regularity 5 != computed 4"),
+    ("predicted_periodic_unitary", _negated,
+     "predicted periodic=False, classifier says True"),
+    ("predicted_pst_unitary", _negated,
+     "predicted transfer=False, search found True (connected=True)")],
+    ids=["connectivity", "regularity", "periodicity", "transfer"])
+def test_forged_prediction_fails_verification(name, forge, failure,
+                                              monkeypatch):
+    """Each formula-vs-engine comparison of verify_ring fires on its own:
+    Z12's unitary graph is connected, 4-regular, periodic and has a
+    transfer, and one forged prediction says otherwise."""
+    monkeypatch.setattr(verify, name, forge(getattr(verify, name)))
+    rec = verify.verify_ring(make_ring("Z12"), "unitary")
+    assert rec.status == "fail" and rec.failures == (failure,)
+
+
+def test_forged_transfer_prediction_fails_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "predicted_pst_unitary",
+                        _negated(verify.predicted_pst_unitary))
+    assert cli.main(["verify", "--max-order", "12"]) == 2
+    z12 = next(r for r in json.loads(capsys.readouterr().out)["records"]
+               if r["ring"] == "Z3 x Z4")
+    assert z12["details"] == [
+        "predicted transfer=False, search found True (connected=True)"]
+
+
 def test_quadratic_spectrum_rejects_even_residues():
     for spec in ("Z4", "Z12", "G(2)", "Z2"):
         with pytest.raises(FormulaNotApplicable):

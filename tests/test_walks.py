@@ -380,12 +380,13 @@ def test_decision_checks_survive_optimize_flag():
         "assert_free.append(raises(lambda: rings.GaloisField(2, 3)))\n"
         "rings._is_irreducible = real_irreducible\n"
         "c4 = graphs.Graph.cycle(4)\n"
-        "swapped = graphs.Graph(4, c4.edges, cayley=((4,), [(0,), (2,), (1,), (3,)]))\n"
-        "assert_free.append(raises(lambda: swapped.connection))\n"
+        "for codes in ([0, 2, 1, 3], [0, 1, 1, 3], [0, 1, 2, 7]):\n"
+        "    forged = graphs.Graph(4, c4.edges, cayley=((4,), codes))\n"
+        "    assert_free.append(raises(lambda: forged.connection))\n"
         # C6 with vertices 2 and 3 swapped keeps S = {1, 5} and every
         # degree; only the edge check catches it
         "c6 = graphs.Graph.cycle(6)\n"
-        "edge_only = graphs.Graph(6, c6.edges, cayley=((6,), [(0,), (1,), (3,), (2,), (4,), (5,)]))\n"
+        "edge_only = graphs.Graph(6, c6.edges, cayley=((6,), [0, 1, 3, 2, 4, 5]))\n"
         "assert_free.append(raises(lambda: edge_only.connection))\n"
         "g4 = graphs.Graph.cycle(4)\n"
         "def gated(call):\n"
@@ -402,6 +403,12 @@ def test_decision_checks_survive_optimize_flag():
         "gates = all(gated(f) for f in (\n"
         "    lambda t: walks.bruteforce_period(g4, t),\n"
         "    lambda t: walks.find_pst(g4, tau_max=t)))\n"
+        "real_period, real_cells = walks.period, walks._chebyshev_cells\n"
+        "walks.period = lambda g, tau_max=0: 4\n"
+        "walks._chebyshev_cells = lambda q, x0, bound: (\n"
+        "    [-a for a in x] for x in real_cells(q, x0, bound))\n"
+        "assert_free.append(raises(lambda: walks.find_pst(graphs.Graph.cycle(4))))\n"
+        "walks.period, walks._chebyshev_cells = real_period, real_cells\n"
         "real_refine = walks._refine\n"
         "walks._refine = lambda g: [int(v != 0) for v in range(g.n)]\n"
         "assert_free.append(raises(lambda: walks.bruteforce_period(c4, 10)))\n"
@@ -519,15 +526,15 @@ def test_classifier_divides_nothing_above_the_largest_orbit(monkeypatch):
 
 def test_character_route_rejects_mislabelled_graphs():
     g = unitary_cayley_graph(make_ring("Z12"))  # S = {1, 5, 7, 11}
-    moduli, coords = g.cayley
-    # vertex 1 given 2's coordinates breaks the symmetry of S; swapping 2
-    # and 3 keeps S and every degree but gives edge 1-2 the difference 2
+    moduli, codes = g.cayley
+    # vertex 1 given 2's code breaks the symmetry of S; swapping 2 and 3
+    # keeps S and every degree but gives edge 1-2 the difference 2
     for i, j in ((1, 2), (2, 3)):
-        swapped = list(coords)
+        swapped = list(codes)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         with pytest.raises(errors.InconsistencyError):
             walks.classify_spectrum(Graph(g.n, g.edges, cayley=(moduli, swapped)))
-    repeated = [coords[0]] + list(coords[:-1])
+    repeated = [codes[0]] + list(codes[:-1])
     with pytest.raises(errors.InconsistencyError):
         walks.classify_spectrum(Graph(g.n, g.edges, cayley=(moduli, repeated)))
 
@@ -773,6 +780,22 @@ def test_pst_on_unitary_graph_z12():
         for name in a._fields:
             with pytest.raises(AttributeError):
                 setattr(a, name, getattr(a, name))
+
+
+def test_negative_transfer_amplitude_is_an_inconsistency(monkeypatch):
+    """T_tau(P) fixes the all-ones vector on the regular graphs searched,
+    so a -e_v can only come from a fault: forge one by negating the
+    Chebyshev vectors once the period is known."""
+    c4 = Graph.cycle(4)
+    per = walks.period(c4)
+    real = walks._chebyshev_cells
+    monkeypatch.setattr(walks, "period", lambda g, tau_max=0: per)
+    monkeypatch.setattr(walks, "_chebyshev_cells", lambda q, x0, bound: (
+        [-a for a in x] for x in real(q, x0, bound)))
+    for sources in (None, range(4)):
+        with pytest.raises(errors.InconsistencyError,
+                           match="fixes the all-ones vector"):
+            walks.find_pst(c4, sources=sources)
 
 
 def test_no_pst_on_odd_cycles():
