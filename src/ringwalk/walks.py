@@ -224,14 +224,28 @@ def _chebyshev_cells(q: _Quotient, x0, bound: int):
     and X_(tau+1) = 2 B X_tau - L^2 X_(tau-1), in integers; the vertex
     vector L^tau T_tau(D^-1 A) C x0 takes the value X_tau[i] on every
     vertex of cell i.  On a k-regular graph L = k and D^-1 A = P.
+
+    Each step costs O(nnz(B)) integer operations, as flat loops over the
+    sparse rows, and yields a new list.  This is the one kernel for the
+    recurrence: brute force's probe and the transfer search both run it.
     """
-    prev = x0
-    cur = [sum(b * prev[j] for j, b in row) for row in q.rows]
+    rows = q.rows
     k2 = q.scale ** 2
+    prev, cur = x0, []
+    for row in rows:
+        s = 0
+        for j, b in row:
+            s += b * x0[j]
+        cur.append(s)
     for tau in range(1, bound + 1):
         if tau > 1:
-            prev, cur = cur, [2 * sum(b * cur[j] for j, b in row) - k2 * p
-                              for row, p in zip(q.rows, prev)]
+            nxt = []
+            for row, p in zip(rows, prev):
+                s = 0
+                for j, b in row:
+                    s += b * cur[j]
+                nxt.append(2 * s - k2 * p)
+            prev, cur = cur, nxt
         yield cur
 
 

@@ -125,19 +125,42 @@ def test_quotient_routes_agree_with_the_discrete_vertex_search():
 
 def test_cell_recurrence_matches_chebyshev_oracle():
     assert walks._quotient(Graph.cycle(6)).cells == ((0,), (1, 5), (2, 4), (3,))
-    for g in (Graph.cycle(8), Graph.complete(5), _petersen(),
-              unitary_cayley_graph(make_ring("Z12")),
-              quadratic_unitary_cayley_graph(make_ring("Z9"))):
+    aperiodic = quadratic_unitary_cayley_graph(make_ring("Z13"))
+    assert not walks.classify_spectrum(aperiodic).periodic
+    cases = [(g, 10) for g in (Graph.cycle(8), Graph.complete(5), _petersen(),
+                               unitary_cayley_graph(make_ring("Z12")),
+                               quadratic_unitary_cayley_graph(make_ring("Z9")))]
+    for g, horizon in cases + [(aperiodic, 40)]:
         q = walks._quotient(g)
         cell = {v: i for i, members in enumerate(q.cells) for v in members}
         k = g.regularity
         start = [1] + [0] * (len(q.cells) - 1)
-        chebyshevs = oracle.chebyshevs(g, 10)
+        chebyshevs = oracle.chebyshevs(g, horizon)
         next(chebyshevs)  # T_0
-        for tau, (x, t) in enumerate(zip(walks._chebyshev_cells(q, start, 10),
-                                         chebyshevs), 1):
+        steps = zip(walks._chebyshev_cells(q, start, horizon), chebyshevs)
+        for tau, (x, t) in enumerate(steps, 1):
             assert [x[cell[v]] for v in range(g.n)] == [
                 k ** tau * row[0] for row in t], (g, tau)
+        assert tau == horizon
+    # the probe's start on an irregular graph's discrete partition, against
+    # the recurrence in the dense integer matrix M = L D^-1 A
+    irregular = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (2, 5)])
+    scale = 12  # lcm(3, 2, 4, 2, 2, 1)
+    assert not irregular.vertex_transitive
+    q = walks._quotient(irregular)
+    assert q.cells == tuple((v,) for v in range(6)) and q.scale == scale
+    m = [[scale // irregular.degrees[i] * a for a in row]
+         for i, row in enumerate(irregular.adjacency_matrix())]
+    x0 = [2 ** v for v in range(6)]
+    prev, cur = x0, [sum(a * b for a, b in zip(row, x0)) for row in m]
+    xs = list(walks._chebyshev_cells(q, x0, 30))
+    assert len(xs) == 30 and x0 == [2 ** v for v in range(6)]
+    for tau, x in enumerate(xs, 1):
+        assert x == cur, tau
+        prev, cur = cur, [2 * sum(a * b for a, b in zip(row, cur)) -
+                          scale ** 2 * p for row, p in zip(m, prev)]
+    # every step is a new list, none of them the start
+    assert len({id(x) for x in xs + [x0]}) == 31
 
 
 def test_aperiodic_probe_builds_no_arc_space(monkeypatch):
